@@ -68,6 +68,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server: ServiceServer  # narrowed for readability; set by the server
     protocol_version = "HTTP/1.1"
+    # A reply is two writes, headers then body.  With Nagle's algorithm
+    # on, a kept-alive connection holds the body until the client's
+    # delayed ACK of the headers (~40 ms per request).
+    disable_nagle_algorithm = True
 
     # -------------------------------------------------------------- #
     # plumbing                                                       #

@@ -31,6 +31,18 @@ poll by any other worker advances the clock past the lease's expiry and
 :meth:`JobStore.reclaim_expired` requeues its cells — exactly once,
 because the requeue is a guarded state transition, not a timer.
 
+**Change probe**: :meth:`JobStore.data_version` reads sqlite's
+``PRAGMA data_version`` (a few microseconds, no transaction), which
+moves only when *another* connection commits.  It is what an idle
+worker polls between short sleeps, reading :meth:`JobStore.has_queued`
+only when it moved (see :mod:`repro.service.worker`).
+
+**Submission is O(cells)**: every cell gets its ``global_seq`` (the
+store-wide submission order :meth:`JobStore.lease` follows) from one
+``meta`` counter bumped once per campaign, and the rows go in with one
+``executemany``.  A store written before the counter existed has it
+seeded from ``MAX(global_seq)`` when it is opened.
+
 Completion requires the **current** lease token: a zombie worker whose
 lease was reclaimed (and possibly re-leased) gets ``False`` back and
 its result is discarded — the cell's truth is whatever the holder of
@@ -145,6 +157,8 @@ _SCHEMA_STATEMENTS = (
 _TICK = "tick"
 _SUBMIT_SEQ = "submit_seq"
 _LEASE_SEQ = "lease_seq"
+#: The last ``global_seq`` handed out.
+_CELL_SEQ = "cell_seq"
 
 
 class JobStore:
@@ -177,6 +191,13 @@ class JobStore:
                         "INSERT OR IGNORE INTO meta(key, value) VALUES (?, 0)",
                         (key,),
                     )
+                # Seeded from the rows so a store written before the
+                # counter existed keeps numbering where it left off.
+                self._conn.execute(
+                    "INSERT OR IGNORE INTO meta(key, value)"
+                    " SELECT ?, COALESCE(MAX(global_seq), 0) FROM cells",
+                    (_CELL_SEQ,),
+                )
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
@@ -252,6 +273,7 @@ class JobStore:
         with self._lock, self._txn():
             seq = self._counter(_SUBMIT_SEQ, bump=1)
             now = self._counter(_TICK)
+            base = self._counter(_CELL_SEQ, bump=len(keyed)) - len(keyed)
             campaign_id = (
                 f"c{seq:06d}-{digest([name, sorted(keyed)])[:8]}"
             )
@@ -260,26 +282,20 @@ class JobStore:
                 " cells) VALUES (?, ?, ?, ?, ?)",
                 (campaign_id, name, seq, now, len(keyed)),
             )
-            for key, job in keyed.items():
-                self._conn.execute(
-                    "INSERT INTO cells(campaign_id, cell_key, global_seq,"
-                    " state, job, label) VALUES (?, ?, ?, ?, ?, ?)",
+            # A generator, so one encoded job document is alive at a time.
+            self._conn.executemany(
+                "INSERT INTO cells(campaign_id, cell_key, global_seq,"
+                " state, job, label) VALUES (?, ?, ?, ?, ?, ?)",
+                (
                     (
-                        campaign_id, key,
-                        self._next_global_seq(),
-                        QUEUED,
+                        campaign_id, key, base + i, QUEUED,
                         json.dumps(job_to_wire(job), sort_keys=True),
                         job.label,
-                    ),
-                )
+                    )
+                    for i, (key, job) in enumerate(keyed.items(), 1)
+                ),
+            )
         return campaign_id
-
-    def _next_global_seq(self) -> int:
-        """Monotone submission order across campaigns.  Lock held."""
-        row = self._conn.execute(
-            "SELECT COALESCE(MAX(global_seq), 0) AS m FROM cells"
-        ).fetchone()
-        return int(row["m"]) + 1
 
     # ------------------------------------------------------------------ #
     # leasing                                                            #
@@ -592,12 +608,31 @@ class JobStore:
             raise StoreError(f"unknown cell {campaign_id}/{key}")
         return json.loads(row["job"])
 
+    def data_version(self) -> int:
+        """The change probe: moves when *another* connection commits.
+
+        sqlite's ``PRAGMA data_version`` — no transaction, a few
+        microseconds.  It never moves for this connection's own
+        commits, so a worker probing it sees only what others wrote.
+        """
+        with self._lock:
+            row = self._conn.execute("PRAGMA data_version").fetchone()
+        return int(row[0])
+
+    def has_queued(self) -> bool:
+        """Whether any cell is queued (one indexed read)."""
+        with self._lock:
+            return self._conn.execute(
+                "SELECT 1 FROM cells WHERE state = ? LIMIT 1", (QUEUED,)
+            ).fetchone() is not None
+
     def drained(self) -> bool:
-        """Whether every cell in the store is terminal."""
-        counts = self.counts()
-        return all(
-            counts[state] == 0 for state in (QUEUED, LEASED, RUNNING)
-        )
+        """Whether every cell in the store is terminal (one indexed read)."""
+        with self._lock:
+            return self._conn.execute(
+                "SELECT 1 FROM cells WHERE state IN (?, ?, ?) LIMIT 1",
+                (QUEUED, LEASED, RUNNING),
+            ).fetchone() is None
 
     def dump(self) -> Dict[str, Any]:
         """JSON-native dump of the control state (the CI artifact).

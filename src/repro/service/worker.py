@@ -7,7 +7,8 @@ result cache.  Its loop::
 
     poll:  tick the logical clock, reclaim expired leases, ask the
            health gate for admission
-    lease: claim a batch of queued cells (atomic; never double-assigned)
+    lease: claim a batch of queued cells (atomic; never double-assigned);
+           with none queued, wait for a commit that queues some
     run:   mark the batch running, resolve cache hits as ``cached``,
            execute the misses through the exact inline campaign path
            (same construction, same retry/quarantine classification,
@@ -15,6 +16,17 @@ result cache.  Its loop::
            heartbeating the lease as outcomes stream in
     done:  token-guarded completion per cell; stale tokens mean the
            lease was reclaimed while we ran and our verdict is discarded
+
+An idle worker waits on the store, not on the clock.  It sleeps out
+its poll period in ~1 ms steps and after each one probes the store's
+change counter (:meth:`JobStore.data_version`, which moves only when
+another connection commits); when it moved and a cell is queued, the
+worker leases at once.  This commit wake-up is the primary path: a
+submission is picked up within about a millisecond.  A wake-up never
+ticks the clock or reclaims — the timed poll stays the safety net that
+does, once per processed lease and once per idle period that passes
+without work — so the logical clock advances no faster however many
+commits arrive, and a lease still expires after a count of polls.
 
 Crash-safety needs no worker cooperation: a SIGKILLed worker simply
 stops heartbeating and polling, every *other* worker's polls advance
@@ -58,9 +70,16 @@ from repro.service.store import (
 )
 from repro.service.wire import job_from_wire
 
-#: How long a worker sleeps between empty polls (seconds; bounded wait,
+#: How long an idle worker waits between polls (seconds; bounded wait,
 #: not a clock *read* — the lease clock is the store's logical tick).
 POLL_SLEEP_S = 0.05
+
+#: The idle wait is this many sleeps of ``WAKE_STEP_S``, each followed
+#: by a change probe.  Counting sleeps keeps the loop free of clock
+#: reads; each sleep overshoots a little, so a period runs slightly
+#: longer than ``POLL_SLEEP_S`` and the clock ticks no faster.
+WAKE_STEP_S = 0.001
+WAKE_STEPS = round(POLL_SLEEP_S / WAKE_STEP_S)
 
 #: Default lease batch size and time-to-live (in logical ticks, i.e.
 #: store polls by any worker).
@@ -74,6 +93,8 @@ class WorkerStats:
 
     worker_id: str = ""
     polls: int = 0
+    idle: int = 0  # poll periods that ran out with no work
+    wakeups: int = 0  # leases taken on a commit wake-up
     leases: int = 0
     cells: int = 0
     done: int = 0
@@ -90,6 +111,8 @@ class WorkerStats:
         out = {
             "worker_id": self.worker_id,
             "polls": self.polls,
+            "idle": self.idle,
+            "wakeups": self.wakeups,
             "leases": self.leases,
             "cells": self.cells,
             "done": self.done,
@@ -115,7 +138,6 @@ class ServiceWorker:
         worker_id: Optional[str] = None,
         batch: int = DEFAULT_BATCH,
         ttl: int = DEFAULT_TTL,
-        poll_sleep_s: float = POLL_SLEEP_S,
         stall_after: Optional[int] = None,
         stall_marker: Optional[str] = None,
         emit=None,
@@ -132,7 +154,6 @@ class ServiceWorker:
         self.worker_id = worker_id or f"w{os.getpid()}"
         self.batch = batch
         self.ttl = ttl
-        self.poll_sleep_s = poll_sleep_s
         self.stall_after = stall_after
         self.stall_marker = stall_marker
         self._emit = emit
@@ -156,9 +177,9 @@ class ServiceWorker:
         """Poll until the store drains (default), halts, or the bound.
 
         ``keep_alive=True`` turns the worker into a daemon that keeps
-        polling after a drain (new submissions wake it on a later poll);
-        ``max_polls`` bounds the loop either way — the harness safety
-        net against a store that can never drain.
+        polling after a drain (a new submission wakes it within about a
+        millisecond); ``max_polls`` bounds the loop either way — the
+        harness safety net against a store that can never drain.
         """
         stats = self.stats
         while True:
@@ -182,14 +203,18 @@ class ServiceWorker:
                 stats.halted = True
                 self._say(f"health gate halt: {decision.reason}; exiting")
                 break
+            # Probed before leasing, so a commit racing the lease query
+            # still wakes the wait below.
+            seen = self.store.data_version()
             lease = self.store.lease(self.worker_id, self.batch, self.ttl)
             if lease is None:
-                if self.store.drained():
-                    if not keep_alive:
-                        self._say("store drained; exiting")
-                        break
-                time.sleep(self.poll_sleep_s)
-                continue
+                if not keep_alive and self.store.drained():
+                    self._say("store drained; exiting")
+                    break
+                lease = self._wait_for_lease(seen)
+                if lease is None:
+                    stats.idle += 1
+                    continue
             stats.leases += 1
             stats.cells += len(lease)
             emit_event(
@@ -208,6 +233,26 @@ class ServiceWorker:
                 # to the queue instead of waiting out the lease TTL.
                 stats.released += self.store.release(lease.token)
         return stats
+
+    def _wait_for_lease(self, seen: int) -> Optional[Lease]:
+        """Wait out one poll period; lease as soon as work is committed.
+
+        ``seen`` is the change probe read just before the poll's own
+        lease query.  A wake-up is one indexed read and, when a cell is
+        queued, one lease — never a tick or a reclaim.
+        """
+        for _ in range(WAKE_STEPS):
+            time.sleep(WAKE_STEP_S)
+            version = self.store.data_version()
+            if version == seen:
+                continue
+            seen = version
+            if self.store.has_queued():
+                lease = self.store.lease(self.worker_id, self.batch, self.ttl)
+                if lease is not None:
+                    self.stats.wakeups += 1
+                    return lease
+        return None
 
     # ---------------------------------------------------------------- #
     # one lease                                                        #

@@ -136,6 +136,8 @@ DEFAULT_THREAD_ROOTS = (
     "repro.service.store.JobStore.reclaim_expired",
     "repro.service.store.JobStore.complete",
     "repro.service.store.JobStore.tick",
+    "repro.service.store.JobStore.data_version",
+    "repro.service.store.JobStore.has_queued",
     "repro.service.store.JobStore.counts",
     "repro.service.store.JobStore.campaign",
     "repro.service.store.JobStore.campaigns",

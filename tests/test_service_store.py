@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sqlite3
 import threading
 
 import pytest
@@ -81,6 +82,52 @@ def test_submit_queues_each_distinct_cell_once(store):
 def test_submit_rejects_empty_campaigns(store):
     with pytest.raises(StoreError):
         store.submit("empty", [])
+
+
+def test_global_seq_is_contiguous_in_submission_order(tmp_path):
+    """Across campaigns, and across reopening a store written before the
+    sequence counter existed (cells, no counter row): numbering resumes
+    after the highest row, so lease order stays submission order."""
+    path = str(tmp_path / "seq.db")
+    store = JobStore(path)
+    first = store.submit("one", _jobs(3, seed=11, prefix="a"))
+    second = store.submit("two", _jobs(4, seed=41, prefix="b"))
+    store.close()
+    raw = sqlite3.connect(path)
+    with raw:
+        raw.execute("DELETE FROM meta WHERE key = 'cell_seq'")
+    raw.close()
+
+    store = JobStore(path)
+    third = store.submit("three", _jobs(2, seed=71, prefix="c"))
+    seqs = [
+        cell["seq"] for cid in (first, second, third)
+        for cell in store.cells(cid)
+    ]
+    assert seqs == list(range(1, 10))
+    lease = store.lease("w1", 9, ttl=5)
+    assert [c.label for c in lease.cells] == (
+        [f"a:{i}" for i in range(3)] + [f"b:{i}" for i in range(4)]
+        + [f"c:{i}" for i in range(2)]
+    )
+    store.close()
+
+
+def test_change_probe_sees_only_other_connections_commits(tmp_path):
+    path = str(tmp_path / "probe.db")
+    mine, other = JobStore(path), JobStore(path)
+    try:
+        seen = mine.data_version()
+        mine.tick()
+        mine.submit("own", _jobs(1))
+        assert mine.data_version() == seen  # its own commits: unmoved
+        other.tick()
+        moved = mine.data_version()
+        assert moved != seen  # another connection's commit: moved
+        assert mine.data_version() == moved  # reading does not move it
+    finally:
+        mine.close()
+        other.close()
 
 
 def test_campaign_ids_are_deterministic(tmp_path):
@@ -278,4 +325,4 @@ def test_status_queries_and_dump_shapes(store):
     assert dump["schema"].startswith("repro.service.dump/")
     assert len(dump["cells"]) == 3
     assert dump["counts"][DONE] == 1
-    assert not store.drained()
+    assert store.has_queued() and not store.drained()

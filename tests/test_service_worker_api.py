@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -193,6 +195,43 @@ def test_failure_states_split_failed_from_quarantined(tmp_path, monkeypatch):
     store2.close()
 
 
+def test_commit_wakeups_never_advance_the_logical_clock(tmp_path):
+    """A keep-alive worker leases submissions from another connection on
+    a commit wake-up; the clock still ticks once per processed lease and
+    once per idle period that timed out, never once per wake-up."""
+    path = str(tmp_path / "store.db")
+    store = JobStore(path)
+    runner, worker = _worker(store, tmp_path, "w1", batch=2, ttl=8)
+    errors = []
+
+    def drive() -> None:
+        try:
+            with runner:
+                worker.run(keep_alive=True, max_polls=30)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    thread = threading.Thread(target=drive)
+    thread.start()
+    submitter = JobStore(path)
+    try:
+        for k in range(3):
+            cid = submitter.submit(f"wake-{k}", _jobs(2, seed=51 + 10 * k))
+            for _ in range(2000):
+                if submitter.campaign(cid)["done"] or not thread.is_alive():
+                    break
+                time.sleep(0.005)
+        thread.join(timeout=60)
+        assert not thread.is_alive() and errors == []
+        assert submitter.drained()
+    finally:
+        submitter.close()
+    stats = worker.stats
+    assert stats.wakeups >= 1 and stats.leases >= 3
+    assert store.now() == stats.polls == stats.leases + stats.idle
+    store.close()
+
+
 def test_worker_rejects_raise_mode_runners(tmp_path):
     store = JobStore(str(tmp_path / "store.db"))
     with pytest.raises(ValueError, match="record"):
@@ -263,6 +302,23 @@ def test_api_submit_query_and_errors(served, tmp_path):
     assert status == 200 and body["counts"][QUEUED] == 3
     status, body = _call(port, "/api/store")
     assert status == 200 and len(body["dump"]["cells"]) == 3
+
+
+def test_kept_alive_connection_replies_without_delay(served):
+    """Ten requests on one connection: no reply waits for a delayed ACK
+    (that stall alone was ~40 ms a request)."""
+    _store, port = served
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        start = time.perf_counter()
+        for _ in range(10):
+            conn.request("GET", "/api/ping")
+            reply = conn.getresponse()
+            assert reply.status == 200 and json.loads(reply.read())["ok"]
+        elapsed = time.perf_counter() - start
+    finally:
+        conn.close()
+    assert elapsed < 0.2
 
 
 def test_api_campaign_completes_via_worker(served, tmp_path):
