@@ -235,7 +235,6 @@ def phase_drive(args) -> int:
     from repro.runner.pool import CampaignRunner
 
     cache = ResultCache(cache_dir, sync_every=SYNC_EVERY)
-    reclaimed = cache.gc_tmp()
     makespan = StreamingSummary()
     completed = 0
     t0 = time.perf_counter()
@@ -267,7 +266,6 @@ def phase_drive(args) -> int:
         "crash_exit": crash.returncode,
         "resumed_simulated": resumed_simulated,
         "max_resimulated_allowed": max_resim,
-        "tmp_files_reclaimed": reclaimed,
         "completed": completed,
         "wall_s": wall,
         "cells_per_sec": completed / wall if wall > 0 else 0.0,

@@ -187,16 +187,13 @@ def _campaign_runner(args):
 
     ``--resume`` requires a cache directory: completed cells are keyed in
     the cache's shard index, so re-running with the same directory only
-    simulates the cells a killed run never finished.  Stale temp files a
-    crashed writer left behind are reclaimed on the way in.
+    simulates the cells a killed run never finished.
     """
     from repro.runner import CampaignRunner, ResultCache
 
     cache = None
     if getattr(args, "cache_dir", None) and not getattr(args, "no_cache", False):
         cache = ResultCache(args.cache_dir)
-        if getattr(args, "resume", False):
-            cache.gc_tmp()
     elif getattr(args, "resume", False):
         raise SystemExit(
             "--resume needs --cache-dir (and no --no-cache): the cache's "

@@ -18,14 +18,13 @@ re-simulate.  This is also the checkpoint/resume story: completed-cell
 keys live in the manifest, so a killed campaign warm-starts from exactly
 the cells it finished.
 
-Entries written by pre-pack versions of this cache (one
-``ab/<key>.json`` file per record) remain readable: keys absent from the
-manifest fall back to the per-file path.
+The manifest is the only way in: a key it does not list is a miss,
+and no other file under the root is ever read.
 
 Invalidation is automatic and content-based: the key hashes the full
 workflow document, cluster spec, scheduler params and run configuration,
-so editing any of them simply addresses a different entry.  ``clear()``
-and :meth:`evict_to` exist for reclaiming disk, not for correctness.
+so editing any of them simply addresses a different entry.  Delete the
+directory to reclaim disk.
 
 Concurrent writers (two campaign processes sharing a cache root) are
 safe but not coordinated: each process appends to its own pack file, and
@@ -91,8 +90,7 @@ class ResultCache:
     #: Pending manifest lines are appended to disk every this many puts
     #: (plus on :meth:`sync` / :meth:`close` / batch boundaries).
     sync_every: int = 256
-    #: Rotate the append pack when it grows past this size, bounding the
-    #: granularity of :meth:`evict_to`.
+    #: Rotate the append pack when it grows past this size.
     pack_max_bytes: int = 4 << 20
 
     # -- internal state (not part of the dataclass API) ---------------- #
@@ -115,12 +113,6 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # paths                                                              #
     # ------------------------------------------------------------------ #
-
-    def path_for(self, key: str) -> str:
-        """Legacy per-file entry path for a hex key (two-level sharding)."""
-        if len(key) < 3:
-            raise ValueError(f"cache key too short: {key!r}")
-        return os.path.join(self.root, key[:2], f"{key}.json")
 
     @property
     def index_path(self) -> str:
@@ -227,7 +219,8 @@ class ResultCache:
         self._read_your_writes()
         located = self._load_index().get(key)
         if located is None:
-            return self._legacy_get(key)
+            self.stats.misses += 1
+            return None
         pack_rel, offset, length = located
         try:
             with open(os.path.join(self.root, pack_rel), "rb") as fh:
@@ -258,9 +251,7 @@ class ResultCache:
             seen.add(key)
             located = index.get(key)
             if located is None:
-                record = self._legacy_get(key)
-                if record is not None:
-                    out[key] = record
+                self.stats.misses += 1
                 continue
             pack_rel, offset, length = located
             by_pack.setdefault(pack_rel, []).append((offset, length, key))
@@ -283,21 +274,6 @@ class ResultCache:
                         self.stats.errors += 1
                         self.stats.misses += 1
         return out
-
-    def _legacy_get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Read a pre-pack per-file entry; miss when absent/corrupt."""
-        try:
-            with open(self.path_for(key), "r", encoding="utf-8") as fh:
-                record = self._parse_entry(fh.read().encode("utf-8"), key)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            self.stats.errors += 1
-            self.stats.misses += 1
-            return None
-        self.stats.count_hit(record)
-        return record
 
     # ------------------------------------------------------------------ #
     # writes                                                             #
@@ -337,149 +313,6 @@ class ResultCache:
             self._pack_fh = None
             self._pack_rel = None
 
-    # ------------------------------------------------------------------ #
-    # accounting / maintenance                                           #
-    # ------------------------------------------------------------------ #
-
-    def _legacy_dirs(self) -> List[str]:
-        """Two-hex-char legacy shard directories currently on disk."""
-        if not os.path.isdir(self.root):
-            return []
-        out = []
-        for name in sorted(os.listdir(self.root)):
-            if len(name) == 2 and os.path.isdir(os.path.join(self.root, name)):
-                out.append(os.path.join(self.root, name))
-        return out
-
     def __len__(self) -> int:
-        """Number of entries: the manifest count plus any legacy files.
-
-        With a manifest this is O(index size in memory); the directory
-        walk only runs over legacy per-file shard dirs, if any exist.
-        """
-        count = len(self._load_index())
-        for shard_dir in self._legacy_dirs():
-            count += sum(
-                1 for f in os.listdir(shard_dir)
-                if f.endswith(".json") and not f.startswith(".tmp-")
-            )
-        return count
-
-    def clear(self) -> int:
-        """Delete every entry (and stray temp files); returns entries removed."""
-        removed = len(self._load_index())
-        self.close()
-        self._index = {}
-        try:
-            os.unlink(self.index_path)
-        except OSError:
-            pass
-        if os.path.isdir(self.packs_path):
-            for fname in sorted(os.listdir(self.packs_path)):
-                try:
-                    os.unlink(os.path.join(self.packs_path, fname))
-                except OSError:
-                    pass
-        for shard_dir in self._legacy_dirs():
-            for fname in sorted(os.listdir(shard_dir)):
-                if fname.endswith(".json"):
-                    is_entry = not fname.startswith(".tmp-")
-                    try:
-                        os.unlink(os.path.join(shard_dir, fname))
-                        removed += int(is_entry)
-                    except OSError:
-                        pass
-        self.gc_tmp()
-        return removed
-
-    def gc_tmp(self) -> int:
-        """Remove orphaned ``.tmp-*`` files left by crashed writers.
-
-        Safe whenever no other process is mid-write in this root (the
-        atomic-rename writers that produce these files never reuse them
-        after a crash).  Returns the number of files removed.
-        """
-        removed = 0
-        if not os.path.isdir(self.root):
-            return 0
-        candidates = [self.root, self.packs_path] + self._legacy_dirs()
-        for directory in candidates:
-            if not os.path.isdir(directory):
-                continue
-            for fname in sorted(os.listdir(directory)):
-                if fname.startswith(".tmp-"):
-                    try:
-                        os.unlink(os.path.join(directory, fname))
-                        removed += 1
-                    except OSError:
-                        pass
-        return removed
-
-    def evict_to(self, max_bytes: int) -> int:
-        """Size-bounded eviction: drop oldest packs until under the bound.
-
-        Whole packs are the eviction unit (append-only files cannot be
-        holed), so the bound is honoured to within ``pack_max_bytes``.
-        The manifest is rewritten atomically.  Returns entries evicted.
-        Legacy per-file entries are not considered.
-        """
-        index = self._load_index()
-        self.close()
-        if not os.path.isdir(self.packs_path):
-            return 0
-        packs = []
-        for fname in sorted(os.listdir(self.packs_path)):
-            path = os.path.join(self.packs_path, fname)
-            try:
-                st = os.stat(path)
-            except OSError:
-                continue
-            packs.append((st.st_mtime, fname, st.st_size))
-        packs.sort()
-        total = sum(size for _, _, size in packs)
-        dropped = set()
-        for mtime, fname, size in packs:
-            if total <= max_bytes:
-                break
-            try:
-                os.unlink(os.path.join(self.packs_path, fname))
-            except OSError:
-                continue
-            dropped.add(os.path.join(PACKS_DIR, fname))
-            total -= size
-        if not dropped:
-            return 0
-        evicted = 0
-        survivors = {}
-        for key in sorted(index):
-            entry = index[key]
-            if entry[0] in dropped:
-                evicted += 1
-            else:
-                survivors[key] = entry
-        self._index = survivors
-        self._rewrite_index()
-        return evicted
-
-    def _rewrite_index(self) -> None:
-        """Atomically rewrite the manifest from the in-memory index."""
-        os.makedirs(self.root, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".jsonl"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"schema": INDEX_SCHEMA}) + "\n")
-                index = self._index or {}
-                for key in sorted(index):
-                    pack_rel, offset, length = index[key]
-                    fh.write(json.dumps(
-                        {"k": key, "p": pack_rel, "o": offset, "n": length}
-                    ) + "\n")
-            os.replace(tmp, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Number of entries: the manifest count, never a directory walk."""
+        return len(self._load_index())

@@ -85,28 +85,66 @@ class TransientCellError(RuntimeError):
     """
 
 
+#: The failure taxonomy, defined once: exception class *name* -> category.
+#: :func:`classify_exception` reads it at runtime and the deep static
+#: pass (:mod:`repro.staticcheck.concurrency`) reads it to decide which
+#: worker raise sites are deliberate taxonomy decisions.  Names, not
+#: classes, so this module (importable from workers) never drags the
+#: sanitizer in, and ``IOError`` still names a source-level raise.
+FAILURE_TAXONOMY: Dict[str, str] = {
+    # explicit markers
+    "TransientCellError": TRANSIENT,
+    "SanitizerError": SANITIZER,
+    # infrastructure: the host, not the cell, is the problem (disk-full,
+    # too-many-open-files, broken pipes to dead workers)
+    "MemoryError": INFRASTRUCTURE,
+    "PermissionError": INFRASTRUCTURE,
+    "OSError": INFRASTRUCTURE,
+    "IOError": INFRASTRUCTURE,
+    # transient: a bounded retry can plausibly clear these
+    "TimeoutError": TRANSIENT,
+    "ConnectionError": TRANSIENT,
+    "InterruptedError": TRANSIENT,
+    # permanent: deterministic simulation errors retry to the same failure
+    "ValueError": PERMANENT,
+    "TypeError": PERMANENT,
+    "KeyError": PERMANENT,
+    "IndexError": PERMANENT,
+    "LookupError": PERMANENT,
+    "AttributeError": PERMANENT,
+    "NameError": PERMANENT,
+    "RuntimeError": PERMANENT,
+    "NotImplementedError": PERMANENT,
+    "ArithmeticError": PERMANENT,
+    "ZeroDivisionError": PERMANENT,
+    "OverflowError": PERMANENT,
+    "AssertionError": PERMANENT,
+    "StopIteration": PERMANENT,
+    "RecursionError": PERMANENT,
+    "UnicodeError": PERMANENT,
+    "ImportError": PERMANENT,
+    "ModuleNotFoundError": PERMANENT,
+    "EOFError": PERMANENT,
+    "BufferError": PERMANENT,
+    "SystemError": PERMANENT,
+}
+
+
 def classify_exception(exc: BaseException) -> str:
     """Failure category of a worker exception, by class.
 
+    Walks ``type(exc).__mro__`` closest-first and returns the category
+    of the first class :data:`FAILURE_TAXONOMY` names, so a subclass's
+    own entry beats its bases' (``ConnectionResetError`` is a transient
+    ``ConnectionError`` before it is an infrastructure ``OSError``).
     Pure and conservative: anything unrecognized is ``permanent`` (a
     deterministic simulation error retries to the same failure, so
     retrying unknowns only burns cycles).
     """
-    if isinstance(exc, TransientCellError):
-        return TRANSIENT
-    # Sanitizer invariant violations are matched by name so this module
-    # (importable from workers) never drags the sanitizer in.
     for klass in type(exc).__mro__:
-        if klass.__name__ == "SanitizerError":
-            return SANITIZER
-    if isinstance(exc, (MemoryError, PermissionError)):
-        return INFRASTRUCTURE
-    if isinstance(exc, (TimeoutError, ConnectionError, InterruptedError)):
-        return TRANSIENT
-    if isinstance(exc, OSError):
-        # Disk-full, too-many-open-files, broken pipes to dead workers:
-        # the host, not the cell, is the problem.
-        return INFRASTRUCTURE
+        category = FAILURE_TAXONOMY.get(klass.__name__)
+        if category is not None:
+            return category
     return PERMANENT
 
 

@@ -52,8 +52,12 @@ terminated by a GC finalizer.
 Start method: ``forkserver`` where available (avoids the
 fork-in-threaded-process ``DeprecationWarning`` on Python 3.12+ while
 keeping warm-import workers via preload), falling back to ``fork`` then
-``spawn``; ``REPRO_START_METHOD`` forces a specific method and
-``REPRO_CHUNKSIZE`` overrides the dispatch chunk size.
+``spawn``.
+
+The runner is the one reader of cached outcomes: the service worker
+hands it whole leases too, and tells a recalled outcome from a fresh
+one by watching :attr:`CampaignRunner.recalled`, so the hit policy
+(``failure_mode``, ``retry_failed``) is the same everywhere.
 """
 
 from __future__ import annotations
@@ -160,22 +164,17 @@ def _pool_context():
 
     ``forkserver`` workers fork from a clean single-threaded server
     process (no stale parent threads/locks, no py3.12 fork deprecation)
-    that pre-imports the simulator, so spawning stays cheap.
-    ``REPRO_START_METHOD`` forces one method (e.g. for debugging spawn
-    path portability).
+    that pre-imports the simulator, so spawning stays cheap.  ``spawn``
+    exists on every platform.
     """
     methods = multiprocessing.get_all_start_methods()
-    forced = os.environ.get("REPRO_START_METHOD", "").strip()
-    order = [forced] if forced else ["forkserver", "fork", "spawn"]
-    for method in order:
-        if method in methods:
-            ctx = multiprocessing.get_context(method)
-            if method == "forkserver":
-                ctx.set_forkserver_preload(["repro.core"])
-            return ctx
-    raise ValueError(
-        f"no usable start method in {order}; platform offers {methods}"
+    method = next(
+        (m for m in ("forkserver", "fork") if m in methods), "spawn"
     )
+    ctx = multiprocessing.get_context(method)
+    if method == "forkserver":
+        ctx.set_forkserver_preload(["repro.core"])
+    return ctx
 
 
 def _execute_indexed(item: Tuple[int, dict]) -> Tuple[int, dict]:
@@ -221,6 +220,8 @@ class CampaignRunner:
         self.failure_mode = failure_mode
         #: Re-run cells whose *failure* is cached instead of recalling it.
         self.retry_failed = retry_failed
+        #: Outcomes recalled from the cache (one per submission index).
+        self.recalled = 0
         #: Cells simulated to a record (cache misses) this runner's life.
         self.simulated = 0
         #: Cells quarantined after exhausting their retries.
@@ -285,7 +286,8 @@ class CampaignRunner:
     ) -> Iterator[Tuple[int, Outcome]]:
         """Yield ``(index, outcome)`` as cells complete.
 
-        Cache hits come first (in submission order); misses follow in
+        Cache hits come first (in submission order), each counted in
+        :attr:`recalled` before it is yielded; misses follow in
         *completion* order as the pool finishes them — each one is
         written to the cache and handed to the caller immediately, so
         aggregation and checkpointing overlap simulation.  Use
@@ -343,27 +345,36 @@ class CampaignRunner:
                 for i in to_run
             ]
             stream, pooled = self._submit(items)
-        return self._consume_batch(
-            jobs, keys, waiters, hits, stream, pooled, mode, inject
+        return self._stream(
+            jobs, keys, hits, waiters, stream, pooled, mode, inject
         )
 
-    def _consume_batch(
+    def _stream(
         self,
         jobs: List[SimJob],
         keys: List[str],
-        waiters: Dict[str, List[int]],
         hits: Dict[str, dict],
+        waiters: Dict[str, List[int]],
         stream: Optional[Iterator[Tuple[int, dict]]],
         pooled: bool,
         mode: str,
         inject: Optional[Dict[str, Any]],
     ) -> Iterator[Tuple[int, Outcome]]:
-        """Hits first, then live execution with retry rounds."""
+        """Recall the hits, then consume worker outputs in retry rounds.
+
+        The single ``finally`` first disposes whatever stream is current
+        — draining a pool iterator (so the persistent pool is reusable
+        after an error or an abandoned generator) or closing the serial
+        generator (so an aborted serial batch does not keep executing
+        cells) — and then syncs the cache manifest.
+        """
+        attempts: Dict[int, int] = {}
         try:
             for i, key in enumerate(keys):
-                if key not in hits:
+                entry = hits.get(key)
+                if entry is None:
                     continue
-                entry = hits[key]
+                self.recalled += 1
                 if is_failure_record(entry):
                     failure = CellFailure.from_dict(entry)
                     # A previous run quarantined this cell; recall the
@@ -373,34 +384,7 @@ class CampaignRunner:
                     yield i, failure
                 else:
                     yield i, SimRecord.from_dict(entry)
-            if stream is not None:
-                yield from self._stream_execute(
-                    jobs, keys, waiters, stream, pooled, mode, inject
-                )
-        finally:
-            if self.cache is not None:
-                self.cache.sync()
-
-    def _stream_execute(
-        self,
-        jobs: List[SimJob],
-        keys: List[str],
-        waiters: Dict[str, List[int]],
-        stream: Iterator[Tuple[int, dict]],
-        pooled: bool,
-        mode: str,
-        inject: Optional[Dict[str, Any]],
-    ) -> Iterator[Tuple[int, Outcome]]:
-        """Consume worker outputs; retry transients in rounds; quarantine.
-
-        The ``finally`` disposes whatever stream is current — draining a
-        pool iterator (so the persistent pool is reusable after an error
-        or an abandoned generator) or closing the serial generator (so
-        an aborted serial batch does not keep executing cells).
-        """
-        attempts: Dict[int, int] = {}
-        try:
-            while True:
+            while stream is not None:
                 retry_next: List[int] = []
                 for first_index, output in stream:
                     key = keys[first_index]
@@ -440,7 +424,7 @@ class CampaignRunner:
                             yield waiter, record
                     self._gate_check()
                 if not retry_next:
-                    return
+                    break
                 # Deterministic backoff: attempt k+1 dispatches in retry
                 # round k, after this round's remaining work and behind
                 # anything already queued — spacing measured in queued
@@ -457,6 +441,8 @@ class CampaignRunner:
                 stream, pooled = self._submit(round_items)
         finally:
             self._dispose(stream, pooled)
+            if self.cache is not None:
+                self.cache.sync()
 
     def _payload_for(
         self,
@@ -608,9 +594,6 @@ class CampaignRunner:
 
     def _chunksize(self, n: int) -> int:
         """Two chunks per worker, capped so huge batches still pipeline."""
-        override = os.environ.get("REPRO_CHUNKSIZE", "").strip()
-        if override:
-            return max(int(override), 1)
         return max(1, min(32, n // (self.jobs * 2)))
 
     def _submit(

@@ -596,18 +596,6 @@ class JobStore:
             )
         return out
 
-    def job_for(self, campaign_id: str, key: str) -> Dict[str, Any]:
-        """The stored wire document of one cell (for re-execution)."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT job FROM cells"
-                " WHERE campaign_id = ? AND cell_key = ?",
-                (campaign_id, key),
-            ).fetchone()
-        if row is None:
-            raise StoreError(f"unknown cell {campaign_id}/{key}")
-        return json.loads(row["job"])
-
     def data_version(self) -> int:
         """The change probe: moves when *another* connection commits.
 

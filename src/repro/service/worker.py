@@ -9,11 +9,13 @@ result cache.  Its loop::
            health gate for admission
     lease: claim a batch of queued cells (atomic; never double-assigned);
            with none queued, wait for a commit that queues some
-    run:   mark the batch running, resolve cache hits as ``cached``,
-           execute the misses through the exact inline campaign path
-           (same construction, same retry/quarantine classification,
-           same cache writes — byte-identical records by construction),
-           heartbeating the lease as outcomes stream in
+    run:   mark the batch running and hand the whole batch to the
+           runner's ``run_sims_iter`` — the exact inline campaign path
+           (same cache recall and hit policy, same construction, same
+           retry/quarantine classification, same cache writes —
+           byte-identical records by construction); an outcome the
+           runner recalled lands ``cached``, and the lease heartbeats
+           as executed outcomes stream in
     done:  token-guarded completion per cell; stale tokens mean the
            lease was reclaimed while we ran and our verdict is discarded
 
@@ -53,8 +55,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.observe.events import emit_event
 from repro.runner.health import HALT, TRANSIENT
@@ -105,7 +107,6 @@ class WorkerStats:
     reclaimed: int = 0
     released: int = 0
     halted: bool = False
-    by_state: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         out = {
@@ -267,37 +268,25 @@ class ServiceWorker:
             job_from_wire(cell.job, where=f"store cell {cell.key}")
             for cell in cells
         ]
-        keys = [cell.key for cell in cells]
 
-        # Cells another client already computed resolve as ``cached``
-        # without touching the pool — the shared-cache payoff the store
-        # surfaces as its own state.
-        hits: Dict[str, dict] = {}
-        if self.runner.cache is not None:
-            hits = self.runner.cache.get_many(keys)
-        miss_indexes: List[int] = []
-        for i, cell in enumerate(cells):
-            record = hits.get(keys[i])
-            if record is None:
-                miss_indexes.append(i)
-                continue
-            self._finish(cell.campaign_id, cell.key, token, CACHED, record)
-
-        if not miss_indexes:
-            return
-        miss_jobs = [jobs[i] for i in miss_indexes]
-        for j, outcome in self.runner.run_sims_iter(
-            miss_jobs, failure_mode="record"
+        # The runner is the one reader of cached outcomes, so its hit
+        # policy (``retry_failed`` included) holds here as inline;
+        # ``recalled`` moving says this outcome came from the cache.
+        recalled = self.runner.recalled
+        for i, outcome in self.runner.run_sims_iter(
+            jobs, failure_mode="record"
         ):
-            cell = cells[miss_indexes[j]]
-            # Live leases never expire: the heartbeat pushes expiry out
-            # by a full TTL every time a result lands.
-            self.store.heartbeat(token, self.ttl)
+            cell = cells[i]
             record = outcome.to_dict()
-            self._finish(
-                cell.campaign_id, cell.key, token,
-                self._terminal_state(record), record,
-            )
+            if self.runner.recalled != recalled:
+                recalled = self.runner.recalled
+                state = CACHED
+            else:
+                # Live leases never expire: the heartbeat pushes expiry
+                # out by a full TTL every time a result lands.
+                self.store.heartbeat(token, self.ttl)
+                state = self._terminal_state(record)
+            self._finish(cell.campaign_id, cell.key, token, state, record)
 
     @staticmethod
     def _terminal_state(record: Dict[str, Any]) -> str:

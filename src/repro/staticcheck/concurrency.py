@@ -20,12 +20,13 @@ Three bug classes PRs 5–7 met in the wild, now machine-checked:
   exact PR 7 bug class.
 * ``unclassified-raise`` — a ``raise SomeError(...)`` reachable from
   worker code where ``SomeError`` does not map to an explicit category
-  in :func:`repro.runner.health.classify_exception`'s taxonomy (mirrored
-  statically here).  Unknown classes fall to the unknown-permanent
-  fallback at runtime, which silently disables retry for genuinely
-  transient conditions — every exception class a worker can raise must
-  be a *deliberate* taxonomy decision, and raising ``BaseException``
-  family members (``SystemExit``, ``KeyboardInterrupt``) escapes the
+  in :data:`repro.runner.health.FAILURE_TAXONOMY`, the one table
+  :func:`~repro.runner.health.classify_exception` reads at runtime.
+  Unknown classes fall to the unknown-permanent fallback at runtime,
+  which silently disables retry for genuinely transient conditions —
+  every exception class a worker can raise must be a *deliberate*
+  taxonomy decision, and raising ``BaseException`` family members
+  (``SystemExit``, ``KeyboardInterrupt``) escapes the
   ``except Exception`` failure capture entirely.
 * ``thread-shared-mutation`` — the in-process sibling of
   ``worker-global-mutation``, introduced with the campaign service:
@@ -43,6 +44,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.runner.health import FAILURE_TAXONOMY
 from repro.staticcheck.callgraph import (
     CallGraph,
     FunctionInfo,
@@ -66,47 +68,6 @@ DEFAULT_WORKER_ROOTS = (
 MUTATOR_METHODS = {
     "append", "add", "clear", "update", "pop", "popitem", "setdefault",
     "extend", "insert", "remove", "discard",
-}
-
-#: Static mirror of :func:`repro.runner.health.classify_exception`.
-#: Class *names* (matched anywhere in the statically-resolved base
-#: chain, like the runtime's MRO walk) -> failure category.  Kept in
-#: sync by a consistency test against the live function.
-STATIC_TAXONOMY: Dict[str, str] = {
-    # explicit markers, matched by name like the runtime does
-    "TransientCellError": "transient",
-    "SanitizerError": "sanitizer",
-    # infrastructure: the host, not the cell, is the problem
-    "MemoryError": "infrastructure",
-    "PermissionError": "infrastructure",
-    "OSError": "infrastructure",
-    "IOError": "infrastructure",
-    # transient: a bounded retry can plausibly clear these
-    "TimeoutError": "transient",
-    "ConnectionError": "transient",
-    "InterruptedError": "transient",
-    # permanent: deterministic simulation errors retry to the same failure
-    "ValueError": "permanent",
-    "TypeError": "permanent",
-    "KeyError": "permanent",
-    "IndexError": "permanent",
-    "LookupError": "permanent",
-    "AttributeError": "permanent",
-    "NameError": "permanent",
-    "RuntimeError": "permanent",
-    "NotImplementedError": "permanent",
-    "ArithmeticError": "permanent",
-    "ZeroDivisionError": "permanent",
-    "OverflowError": "permanent",
-    "AssertionError": "permanent",
-    "StopIteration": "permanent",
-    "RecursionError": "permanent",
-    "UnicodeError": "permanent",
-    "ImportError": "permanent",
-    "ModuleNotFoundError": "permanent",
-    "EOFError": "permanent",
-    "BufferError": "permanent",
-    "SystemError": "permanent",
 }
 
 #: Exception names that are *never* acceptable at a worker raise site:
@@ -499,9 +460,9 @@ def check_generator_cleanup(
 def classify_static(graph: CallGraph, class_name: str) -> Optional[str]:
     """Category of an exception class qualname/name, or None if unknown.
 
-    Walks the statically-resolved base chain, matching class *names*
-    against :data:`STATIC_TAXONOMY` at every step — the same
-    name-anywhere-in-the-MRO rule the runtime classifier uses.
+    Walks the statically-resolved base chain closest-first, matching
+    class *names* against :data:`~repro.runner.health.FAILURE_TAXONOMY`
+    at every step — the table and the rule the runtime classifier uses.
     """
     seen: Set[str] = set()
     stack = [class_name]
@@ -513,8 +474,8 @@ def classify_static(graph: CallGraph, class_name: str) -> Optional[str]:
         bare = current.rsplit(".", 1)[-1]
         if bare in UNCLASSIFIABLE_NAMES:
             return None
-        if bare in STATIC_TAXONOMY:
-            return STATIC_TAXONOMY[bare]
+        if bare in FAILURE_TAXONOMY:
+            return FAILURE_TAXONOMY[bare]
         cls = graph.classes.get(current)
         if cls is not None:
             stack.extend(cls.bases)

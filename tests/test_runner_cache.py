@@ -1,4 +1,4 @@
-"""Shard-indexed result cache: round trips, durability, accounting, GC."""
+"""Shard-indexed result cache: round trips, durability, accounting."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+import repro.runner.cache as cache_module
 from repro.runner.cache import INDEX_SCHEMA, ResultCache
 
 KEY = "ab" + "0" * 62
@@ -55,12 +56,6 @@ def test_entries_are_packed_and_indexed(cache):
     assert lines[0] == {"schema": INDEX_SCHEMA}
     assert lines[1]["k"] == KEY
     assert lines[1]["p"] == os.path.join("packs", packs[0])
-
-
-def test_short_key_is_rejected(cache):
-    """Keys must be long enough to shard (legacy path contract)."""
-    with pytest.raises(ValueError):
-        cache.path_for("ab")
 
 
 def test_cache_survives_reopen(cache):
@@ -143,49 +138,29 @@ def test_len_is_manifest_count_not_a_walk(cache):
     assert len(cache) == 2
 
 
-def test_legacy_per_file_entries_remain_readable(cache):
-    """Pre-pack ab/<key>.json entries hit on index miss and count in len."""
-    path = cache.path_for(KEY)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+def test_stray_per_file_entry_is_never_read(cache, monkeypatch):
+    """The manifest is the only way in: an ``ab/<key>.json`` file (the
+    layout before packs) is one miss per lookup and is never opened."""
+    path = os.path.join(cache.root, KEY[:2], f"{KEY}.json")
+    os.makedirs(os.path.dirname(path))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"key": KEY, "record": RECORD}, fh)
-    assert cache.get(KEY) == RECORD
-    assert cache.stats.hits == 1
-    assert len(cache) == 1
-    assert cache.get_many([KEY]) == {KEY: RECORD}
-
-
-def test_clear_removes_everything_including_orphans(cache):
-    """clear() empties packs, manifest, legacy entries and .tmp-* litter."""
-    cache.put(KEY, RECORD)
-    legacy = cache.path_for(KEY2)
-    os.makedirs(os.path.dirname(legacy), exist_ok=True)
-    with open(legacy, "w", encoding="utf-8") as fh:
-        json.dump({"key": KEY2, "record": RECORD}, fh)
-    orphan = os.path.join(os.path.dirname(legacy), ".tmp-dead.json")
-    with open(orphan, "w") as fh:
-        fh.write("{")
-    assert cache.clear() == 2
-    assert len(cache) == 0
+    cache._load_index()
+    opened = []
+    monkeypatch.setattr(
+        cache_module, "open",
+        lambda *args, **kwargs: opened.append(args[0]), raising=False,
+    )
     assert cache.get(KEY) is None
-    assert not os.path.exists(orphan)
-    assert not os.path.exists(cache.index_path)
+    assert cache.stats.misses == 1 and cache.stats.hits == 0
+    assert cache.get_many([KEY]) == {}
+    assert cache.stats.misses == 2 and cache.stats.errors == 0
+    assert opened == []
+    assert len(cache) == 0
 
 
-def test_gc_tmp_removes_stale_temp_files(cache):
-    """gc_tmp() reclaims crashed writers' temp files, nothing else."""
-    cache.put(KEY, RECORD)
-    cache.sync()
-    stray = os.path.join(cache.root, ".tmp-index.jsonl")
-    with open(stray, "w") as fh:
-        fh.write("{}")
-    assert cache.gc_tmp() == 1
-    assert not os.path.exists(stray)
-    assert cache.get(KEY) == RECORD
-
-
-def test_evict_to_drops_oldest_packs(tmp_path):
-    """Size-bounded eviction removes whole packs and rewrites the manifest."""
+def test_pack_rotation_keeps_every_entry_readable(tmp_path):
+    """Entries stay addressable across packs rotated at pack_max_bytes."""
     cache = ResultCache(str(tmp_path / "cache"), pack_max_bytes=1)
     # pack_max_bytes=1 rotates after every put: one pack per entry.
     keys = [f"{i:02x}" + "f" * 62 for i in range(4)]
@@ -193,30 +168,10 @@ def test_evict_to_drops_oldest_packs(tmp_path):
         cache.put(key, {"makespan": float(i)})
     cache.close()
     assert len(os.listdir(cache.packs_path)) == 4
-    evicted = cache.evict_to(0)
-    assert evicted == 4
-    assert len(cache) == 0
-    # Manifest was rewritten, not deleted: reopen sees an empty cache.
     again = ResultCache(cache.root)
-    assert len(again) == 0
-
-
-def test_evict_to_partial_keeps_survivors_readable(tmp_path):
-    cache = ResultCache(str(tmp_path / "cache"), pack_max_bytes=1)
-    keys = [f"{i:02x}" + "e" * 62 for i in range(4)]
-    for i, key in enumerate(keys):
-        cache.put(key, {"makespan": float(i)})
-    cache.close()
-    sizes = sorted(
-        os.path.getsize(os.path.join(cache.packs_path, f))
-        for f in os.listdir(cache.packs_path)
-    )
-    evicted = cache.evict_to(sum(sizes[:2]))
-    assert evicted == 2
-    survivors = ResultCache(cache.root)
-    assert len(survivors) == 2
-    remaining = [k for k in keys if survivors.get(k) is not None]
-    assert len(remaining) == 2
+    assert again.get_many(keys) == {
+        key: {"makespan": float(i)} for i, key in enumerate(keys)
+    }
 
 
 def test_sync_every_checkpoints_automatically(tmp_path):
@@ -242,4 +197,3 @@ def test_unsynced_entries_lost_on_crash_simply_re_simulate(tmp_path):
 def test_len_of_nonexistent_root_is_zero(cache):
     """A cache that never wrote anything has no directory and length 0."""
     assert len(cache) == 0
-    assert cache.clear() == 0

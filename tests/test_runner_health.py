@@ -27,6 +27,7 @@ from repro.runner.health import (
     gate,
     runway_admissions,
 )
+from repro.sanitizer import SanitizerError
 
 
 def ok(sim_success=True):
@@ -61,6 +62,25 @@ _SanitizerError.__name__ = "SanitizerError"
     (_SanitizerError("invariant"), SANITIZER),
 ])
 def test_classify_exception(exc, category):
+    assert classify_exception(exc) == category
+
+
+class _FlakyCell(TransientCellError):
+    pass
+
+
+@pytest.mark.parametrize("exc,category", [
+    # a ConnectionError before it is an OSError
+    (ConnectionResetError("reset"), TRANSIENT),
+    # no entry of its own: the OSError base decides
+    (FileNotFoundError("gone"), INFRASTRUCTURE),
+    # a marker subclass inherits the marker's category
+    (_FlakyCell("retry me"), TRANSIENT),
+    # the real sanitizer error, before its RuntimeError base
+    (SanitizerError("invariant"), SANITIZER),
+])
+def test_classify_exception_takes_the_closest_taxonomy_entry(exc, category):
+    """The MRO walk is closest-first over FAILURE_TAXONOMY."""
     assert classify_exception(exc) == category
 
 

@@ -174,14 +174,23 @@ def test_streaming_matches_batch_records():
     assert [r for _, r in ordered] == batch
 
 
-def test_chunksize_env_override(monkeypatch):
-    """REPRO_CHUNKSIZE forces the dispatch chunk size; default is adaptive."""
+def test_chunksize_is_two_chunks_per_worker_capped():
+    """Dispatch chunks: two per worker, at least 1, at most 32 cells."""
     runner = CampaignRunner(jobs=4)
-    assert runner._chunksize(256) == max(1, min(32, 256 // 8))
-    monkeypatch.setenv("REPRO_CHUNKSIZE", "7")
-    assert runner._chunksize(256) == 7
-    monkeypatch.setenv("REPRO_CHUNKSIZE", "0")
-    assert runner._chunksize(256) == 1  # clamped to a sane floor
+    assert runner._chunksize(3) == 1
+    assert runner._chunksize(64) == 8
+    assert runner._chunksize(4096) == 32
+
+
+def test_recalled_counts_outcomes_served_from_the_cache(tmp_path):
+    """recalled moves once per cache-served index, never for fresh cells."""
+    jobs = _jobs()
+    with CampaignRunner(jobs=1, cache=ResultCache(str(tmp_path))) as cold:
+        cold.run_sims(jobs)
+    assert cold.recalled == 0 and cold.simulated == len(jobs)
+    with CampaignRunner(jobs=1, cache=ResultCache(str(tmp_path))) as warm:
+        warm.run_sims(jobs)
+    assert warm.recalled == len(jobs) and warm.simulated == 0
 
 
 def test_use_runner_scopes_the_active_runner():

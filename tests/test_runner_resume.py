@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments.common import make_job, preset_spec
@@ -93,19 +91,3 @@ def test_cli_resume_requires_cache_dir():
     args = build_parser().parse_args(["exp", "x2", "--resume"])
     with pytest.raises(SystemExit, match="cache-dir"):
         _campaign_runner(args)
-
-
-def test_cli_resume_reclaims_stale_tmp_files(tmp_path):
-    from repro.cli import _campaign_runner, build_parser
-
-    stray = tmp_path / ".tmp-crashed-writer.json"
-    stray.write_text("{", encoding="utf-8")
-    args = build_parser().parse_args(
-        ["exp", "x2", "--resume", "--cache-dir", str(tmp_path)]
-    )
-    runner = _campaign_runner(args)
-    try:
-        assert not os.path.exists(stray)
-        assert runner.cache is not None
-    finally:
-        runner.close()

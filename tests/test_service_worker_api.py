@@ -52,6 +52,7 @@ def _worker(store, tmp_path, worker_id, cache="cache", **kwargs):
     runner = CampaignRunner(
         jobs=1, cache=ResultCache(str(tmp_path / cache)),
         failure_mode="record", max_retries=kwargs.pop("max_retries", 1),
+        retry_failed=kwargs.pop("retry_failed", False),
     )
     return runner, ServiceWorker(store, runner, worker_id=worker_id, **kwargs)
 
@@ -97,6 +98,56 @@ def test_resubmission_resolves_from_the_shared_cache(tmp_path):
     assert stats2.cached == 5 and stats2.done == 0
     assert store.counts(cid2)[CACHED] == 5
     assert runner2.cache.stats.hits >= 5  # the shared-cache payoff
+    store.close()
+
+
+def test_lease_recall_counts_one_lookup_per_cell(tmp_path):
+    """A lease of 3 cached and 3 fresh cells: 3 `cached`, 3 `done`, and
+    the cache is read once per cell (3 hits, 3 misses)."""
+    jobs = _jobs(6, seed=41, prefix="mixed")
+    with CampaignRunner(
+        jobs=1, cache=ResultCache(str(tmp_path / "cache"))
+    ) as warmer:
+        warmer.run_sims(jobs[:3])
+    store = JobStore(str(tmp_path / "store.db"))
+    cid = store.submit("mixed", jobs)
+    runner, worker = _worker(store, tmp_path, "w1", batch=6)
+    with runner:
+        stats = worker.run(max_polls=40)
+    assert stats.leases == 1
+    assert stats.cached == 3 and stats.done == 3
+    assert store.counts(cid)[CACHED] == 3
+    assert runner.cache.stats.hits == 3
+    assert runner.cache.stats.misses == 3
+    assert runner.recalled == 3 and runner.simulated == 3
+    store.close()
+
+
+def test_retry_failed_re_executes_a_cached_failure(tmp_path):
+    """--retry-failed works in the service as it does inline: a cached
+    failure is recalled `cached` by default and re-executed with it."""
+    store = JobStore(str(tmp_path / "store.db"))
+    store.submit("first", [_failing_job()])
+    runner, worker = _worker(store, tmp_path, "w1", max_retries=0)
+    with runner:
+        assert worker.run(max_polls=40).failed == 1
+
+    cid2 = store.submit("recall", [_failing_job()])
+    runner2, worker2 = _worker(store, tmp_path, "w2", max_retries=0)
+    with runner2:
+        stats2 = worker2.run(max_polls=40)
+    assert stats2.cached == 1 and runner2.failed == 0
+    assert store.counts(cid2)[CACHED] == 1
+
+    cid3 = store.submit("retry", [_failing_job()])
+    runner3, worker3 = _worker(
+        store, tmp_path, "w3", max_retries=0, retry_failed=True,
+    )
+    with runner3:
+        stats3 = worker3.run(max_polls=40)
+    assert stats3.cached == 0 and stats3.failed == 1
+    assert runner3.failed == 1 and runner3.recalled == 0
+    assert store.counts(cid3)[FAILED] == 1
     store.close()
 
 

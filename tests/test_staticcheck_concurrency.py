@@ -1,9 +1,8 @@
 """Concurrency/lifecycle hazard checker tests (mutation style).
 
 worker-global-mutation, generator-pool-cleanup and unclassified-raise
-each get seeded violations and blessed idioms; the taxonomy mirror is
-pinned against the *live* ``classify_exception`` so the static table
-cannot drift from the runtime behaviour it models.
+each get seeded violations and blessed idioms; the deep pass classifies
+raise sites from the runtime's own ``FAILURE_TAXONOMY``.
 """
 
 import os
@@ -11,7 +10,6 @@ import textwrap
 
 from repro.staticcheck.callgraph import build_callgraph
 from repro.staticcheck.concurrency import (
-    STATIC_TAXONOMY,
     check_concurrency,
     check_generator_cleanup,
     check_thread_mutation,
@@ -336,32 +334,30 @@ class TestUnclassifiedRaise:
 
 
 class TestTaxonomyMirror:
-    def test_static_table_matches_live_classifier(self):
-        """The mirror must agree with classify_exception category-for-
-        category on every builtin it claims to know."""
-        import builtins
+    def test_static_table_matches_live_classifier(self, tmp_path):
+        """The deep pass reads the live classifier's own table, and its
+        base-chain walk places a marker subclass where the runtime's MRO
+        walk does."""
+        from repro.runner.health import (
+            FAILURE_TAXONOMY,
+            TransientCellError,
+            classify_exception,
+        )
+        from repro.staticcheck import concurrency
 
-        from repro.runner.health import classify_exception
+        assert concurrency.FAILURE_TAXONOMY is FAILURE_TAXONOMY
 
-        for name, category in STATIC_TAXONOMY.items():
-            cls = getattr(builtins, name, None)
-            if cls is None:
-                continue  # repo-local markers, checked below
-            try:
-                exc = cls("probe")
-            except TypeError:
-                continue
-            assert classify_exception(exc) == category, name
+        class Flaky(TransientCellError):
+            pass
 
-        from repro.runner.health import TransientCellError
-        from repro.sanitizer import SanitizerError
-
-        assert classify_exception(
-            TransientCellError("probe")
-        ) == STATIC_TAXONOMY["TransientCellError"]
-        assert classify_exception(
-            SanitizerError("probe")
-        ) == STATIC_TAXONOMY["SanitizerError"]
+        g = graph_for(tmp_path, {"m.py": """
+            from repro.runner.health import TransientCellError
+            class Flaky(TransientCellError):
+                pass
+        """})
+        assert classify_static(g, "m.Flaky") == classify_exception(
+            Flaky("probe")
+        ) == "transient"
 
     def test_classify_static_walks_base_chain(self, tmp_path):
         g = graph_for(tmp_path, {"m.py": """
