@@ -34,10 +34,21 @@ run into a small, schema-versioned set of tracked series:
   series across hosts.
 
 With ``--baseline`` the report is additionally *checked* against a prior
-report: any ``makespan.geomean.*`` series or the calibration-normalized
-``sim.events_per_sec`` regressing by more than ``--tolerance`` (default
-0.10, i.e. 10%) fails the run with exit code 1.  Wall-clock and overhead
-series never gate — they are trajectory data for humans.
+report, and any gated series that regresses by more than ``--tolerance``
+(default 0.10, i.e. 10%) fails the run with exit code 1.  The gated
+series:
+
+* every ``makespan.geomean.*`` (larger = worse);
+* ``sim.events_per_sec``, ``runner.cells_per_sec`` and
+  ``runner.warm_cells_per_sec``, calibration-normalized (smaller =
+  worse);
+* ``runner.peak_rss_mb`` (larger = worse);
+* ``runner.retry_overhead_pct`` (larger = worse, with 5 percentage
+  points of absolute slack).
+
+The other series (``sim.events_total``, ``runner.wall_s``,
+``sanitizer.overhead_pct``, ``calibration.probe_s``) are trajectory
+data for humans and never gate.
 
 Usage::
 

@@ -6,10 +6,15 @@
 # tracked series against the committed baseline
 # (benchmarks/bench_baseline.json):
 #
-#   * makespan.geomean.<scheduler> — deterministic; >10% drift fails;
-#   * sim.events_per_sec — calibration-normalized throughput; >10%
-#     regression fails;
-#   * wall-clock / overhead series — informational trajectory only.
+#   * makespan.geomean.<scheduler> — deterministic; >10% growth fails;
+#   * sim.events_per_sec, runner.cells_per_sec and
+#     runner.warm_cells_per_sec — calibration-normalized throughput;
+#     a >10% drop fails;
+#   * runner.peak_rss_mb — >10% growth fails;
+#   * runner.retry_overhead_pct — fails above the larger of +10% and
+#     +5 percentage points over the baseline;
+#   * the other series (events total, wall seconds, sanitizer overhead,
+#     calibration probe) — informational trajectory only.
 #
 # Tolerance override: REPRO_BENCH_TOLERANCE (fraction, default 0.10).
 #

@@ -6,7 +6,9 @@
 # shard-indexed cache.  Passes only if
 #
 #   * the resumed pass re-simulates at most the cells the crashed pass
-#     never checkpointed (warm start from the cache's shard index);
+#     never finished (each record is synced before the runner hands its
+#     outcome on, so the warm start from the cache's shard index loses
+#     nothing the crashed pass counted);
 #   * every cell completes, streamed through O(1)-memory aggregates;
 #   * peak RSS stays under 1536 MB (the flat-memory contract);
 #   * the injected-failure phase (deterministic transient faults plus

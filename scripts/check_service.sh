@@ -10,9 +10,9 @@
 #     campaign completes with no cell failed or quarantined;
 #   * every final record is byte-identical to an uninterrupted inline
 #     run of the same cells (the service path IS the campaign path);
-#   * resubmitting the identical campaign resolves from the shared
-#     result cache (cached cells > 0; everything the surviving worker
-#     wrote comes back as a hit);
+#   * resubmitting the identical campaign resolves every cell from the
+#     shared result cache, the crashed worker's completions included
+#     (each record is durable before its cell turns terminal);
 #   * the server shuts down cleanly on POST /api/stop.
 #
 # Artifacts for CI upload: bench_out/service_smoke.json (checks +

@@ -12,9 +12,9 @@ The default driver phase runs the crash pass in a subprocess, then
 *resumes* by re-running the identical campaign against the same cache
 directory, and asserts:
 
-* the resumed pass only simulates cells the crashed pass never synced —
-  at most ``cells - die_after`` plus the cache's ``sync_every`` slack
-  (entries pending since the last auto-checkpoint die with the process);
+* the resumed pass only simulates cells the crashed pass never
+  finished — at most ``cells - die_after``, because the runner syncs
+  each record before it hands the outcome on;
 * every cell of the campaign completes, streamed through O(1)-memory
   aggregates, with peak RSS below ``--rss-limit-mb``;
 * a schema-versioned JSON artifact records both passes for the CI log.
@@ -52,9 +52,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 SCHEMA = "repro.scale-smoke/v2"
 DIE_EXIT = 17
-#: Auto-checkpoint cadence of the smoke cache: small enough that a crash
-#: loses little, large enough to exercise the pending-entry path.
-SYNC_EVERY = 64
 BATCH = 256
 
 
@@ -92,7 +89,7 @@ def phase_run(args) -> int:
     from repro.runner.cache import ResultCache
     from repro.runner.pool import CampaignRunner
 
-    cache = ResultCache(args.cache_dir, sync_every=SYNC_EVERY)
+    cache = ResultCache(args.cache_dir)
     makespan = StreamingSummary()
     completed = 0
     t0 = time.perf_counter()
@@ -138,7 +135,7 @@ def phase_faults(args):
         completed = 0
         t0 = time.perf_counter()
         with CampaignRunner(
-            jobs=args.jobs, cache=ResultCache(cache_dir, sync_every=SYNC_EVERY),
+            jobs=args.jobs, cache=ResultCache(cache_dir),
             max_retries=2, failure_mode="record",
         ) as runner:
             for _b, _i, outcome in runner.run_batches(
@@ -154,7 +151,7 @@ def phase_faults(args):
         # Resume the identical campaign: every verdict — success or
         # quarantine — must come back from the cache, with nothing
         # re-simulated and nothing re-quarantined (no double-counting).
-        cache = ResultCache(cache_dir, sync_every=SYNC_EVERY)
+        cache = ResultCache(cache_dir)
         with CampaignRunner(
             jobs=args.jobs, cache=cache, max_retries=2, failure_mode="record",
         ) as resumed:
@@ -234,7 +231,7 @@ def phase_drive(args) -> int:
     from repro.runner.cache import ResultCache
     from repro.runner.pool import CampaignRunner
 
-    cache = ResultCache(cache_dir, sync_every=SYNC_EVERY)
+    cache = ResultCache(cache_dir)
     makespan = StreamingSummary()
     completed = 0
     t0 = time.perf_counter()
@@ -247,9 +244,9 @@ def phase_drive(args) -> int:
     wall = time.perf_counter() - t0
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    # The crash synced at least (die_after - SYNC_EVERY) completed cells;
-    # the resume may re-simulate only the unsynced remainder.
-    max_resim = args.cells - die_after + SYNC_EVERY
+    # Every cell the crash pass simulated was synced before it was
+    # counted; the resume may re-simulate only the remainder.
+    max_resim = args.cells - die_after
     checks = {
         "resumed from checkpoint": resumed_simulated <= max_resim,
         "every cell completed": completed == args.cells,

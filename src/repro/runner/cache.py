@@ -9,17 +9,20 @@ sequential read per pack — not one ``open()`` per cell — and the entry
 count is a dict length, not a directory walk.
 
 Durability model: a pack line is written (and flushed) before its
-manifest line, and manifest lines are batched (``sync_every``) and
-force-flushed by :meth:`sync` / :meth:`close` — the campaign runner
-syncs after every batch and on the error path.  A crash can therefore
-lose at most the entries since the last sync; a truncated pack or
-manifest line is skipped on load and the affected cells simply
-re-simulate.  This is also the checkpoint/resume story: completed-cell
+manifest line, and manifest lines stay pending until :meth:`sync` (or
+:meth:`close`, or a pack rotation) appends them.  The campaign runner
+syncs each fresh record before it hands the outcome on, so nothing
+downstream — a resumed campaign, the service store marking the cell
+terminal — ever sees a cell whose entry a crash could still lose.  A
+corrupt pack or manifest line is skipped and the affected cell simply
+re-simulates.  This is also the checkpoint/resume story: completed-cell
 keys live in the manifest, so a killed campaign warm-starts from exactly
 the cells it finished.
 
 The manifest is the only way in: a key it does not list is a miss,
-and no other file under the root is ever read.
+and no other file under the root is ever read.  Each lookup folds in
+the lines appended since the last, so a long-lived reader sees what
+other processes synced.
 
 Invalidation is automatic and content-based: the key hashes the full
 workflow document, cluster spec, scheduler params and run configuration,
@@ -29,9 +32,8 @@ directory to reclaim disk.
 Concurrent writers (two campaign processes sharing a cache root) are
 safe but not coordinated: each process appends to its own pack file, and
 manifest appends are single ``write()`` calls on an ``O_APPEND`` handle.
-A process with a stale in-memory index may re-simulate a cell another
-process already stored; the duplicate manifest entry is harmless (last
-line wins on load).
+Two processes that miss the same key at once both simulate it; the
+duplicate manifest entry is harmless (the last line wins).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.runner.record import is_failure_record
@@ -66,13 +68,7 @@ class CacheStats:
     failure_hits: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "errors": self.errors,
-            "failure_hits": self.failure_hits,
-        }
+        return asdict(self)
 
     def count_hit(self, record: Dict[str, Any]) -> None:
         """Fold one successful lookup in, failure-aware."""
@@ -87,9 +83,6 @@ class ResultCache:
 
     root: str
     stats: CacheStats = field(default_factory=CacheStats)
-    #: Pending manifest lines are appended to disk every this many puts
-    #: (plus on :meth:`sync` / :meth:`close` / batch boundaries).
-    sync_every: int = 256
     #: Rotate the append pack when it grows past this size.
     pack_max_bytes: int = 4 << 20
 
@@ -97,6 +90,8 @@ class ResultCache:
     _index: Optional[Dict[str, Tuple[str, int, int]]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Manifest bytes folded into ``_index`` so far.
+    _index_read: int = field(default=0, init=False, repr=False, compare=False)
     _pending: List[str] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
@@ -127,31 +122,43 @@ class ResultCache:
     # ------------------------------------------------------------------ #
 
     def _load_index(self) -> Dict[str, Tuple[str, int, int]]:
-        """The key -> (pack, offset, length) map, loaded once per process."""
-        if self._index is not None:
+        """The key -> (pack, offset, length) map, current to the manifest.
+
+        Reads only the whole lines appended since the last call; a line
+        without its newline yet waits.  While this instance has unsynced
+        entries its map stands, so its reads see its own writes.
+        """
+        if self._index is None:
+            self._index = {}
+        elif self._pending:
             return self._index
-        index: Dict[str, Tuple[str, int, int]] = {}
+        index = self._index
         try:
-            with open(self.index_path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh):
+            if os.path.getsize(self.index_path) <= self._index_read:
+                return index  # nothing appended: a stat, no open
+            with open(self.index_path, "rb") as fh:
+                fh.seek(self._index_read)
+                for line in fh:
+                    if not line.endswith(b"\n"):
+                        break  # still being written, or a torn tail
+                    self._index_read += len(line)
                     try:
                         entry = json.loads(line)
-                        if lineno == 0:
-                            if entry.get("schema") != INDEX_SCHEMA:
+                        if "schema" in entry:  # the header
+                            if entry["schema"] != INDEX_SCHEMA:
                                 raise ValueError("unknown index schema")
                             continue
                         index[entry["k"]] = (
                             entry["p"], int(entry["o"]), int(entry["n"])
                         )
                     except (ValueError, KeyError, TypeError):
-                        # Truncated/corrupt line (crashed writer): the
-                        # entry is lost, the cell will re-simulate.
+                        # Corrupt line: the entry is lost, the cell
+                        # will re-simulate.
                         self.stats.errors += 1
         except FileNotFoundError:
             pass
         except OSError:
             self.stats.errors += 1
-        self._index = index
         return index
 
     def sync(self) -> None:
@@ -290,8 +297,8 @@ class ResultCache:
         return self._pack_fh
 
     def put(self, key: str, record: Dict[str, Any]) -> None:
-        """Append ``record`` under ``key`` to the current pack."""
-        index = self._load_index()
+        """Append ``record`` under ``key``; durable once :meth:`sync` runs."""
+        index = self._index if self._index is not None else self._load_index()
         payload = json.dumps(
             {"key": key, "record": record}, sort_keys=True
         ) + "\n"
@@ -305,8 +312,6 @@ class ResultCache:
             {"k": key, "p": entry[0], "o": entry[1], "n": entry[2]}
         ) + "\n")
         self.stats.puts += 1
-        if len(self._pending) >= max(self.sync_every, 1):
-            self.sync()
         if fh.tell() >= self.pack_max_bytes:
             self.sync()
             fh.close()

@@ -75,6 +75,9 @@ CATEGORIES = (TRANSIENT, PERMANENT, INFRASTRUCTURE, SANITIZER)
 #: Responses to a degraded/unstable state (``blocked`` always halts).
 ON_UNHEALTHY = ("throttle", "halt", "ignore")
 
+#: Verdicts on one executed cell (the service store's terminal states).
+DONE, FAILED, QUARANTINED = "done", "failed", "quarantined"
+
 
 class TransientCellError(RuntimeError):
     """Marker for worker failures that are worth retrying.
@@ -146,6 +149,17 @@ def classify_exception(exc: BaseException) -> str:
         if category is not None:
             return category
     return PERMANENT
+
+
+def verdict(outcome) -> str:
+    """``done`` for a record; for a failure, ``quarantined`` when the retry
+    loop gave up on it (transient, or more than one attempt), else
+    ``failed``."""
+    if outcome.ok:
+        return DONE
+    if outcome.category == TRANSIENT or outcome.attempts > 1:
+        return QUARANTINED
+    return FAILED
 
 
 # --------------------------------------------------------------------- #

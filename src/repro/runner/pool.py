@@ -7,7 +7,8 @@ records in input order.  Five properties the test layer pins down:
   the same construction path (see :mod:`repro.runner.jobs`), so
   ``jobs=1`` and ``jobs=N`` produce identical records.
 * **Memoization** — with a cache attached, completed cells are stored
-  under their content hash; a warm rerun only simulates new cells.
+  under their content hash, each synced before its outcome is yielded
+  (durable before visible); a warm rerun only simulates new cells.
   Duplicate cells *within* one batch are simulated once and fanned back
   to every requesting index.  Hit resolution is batched
   (:meth:`~repro.runner.cache.ResultCache.get_many`): one index load
@@ -305,11 +306,11 @@ class CampaignRunner:
         also persisted content-addressed in the cache so a resumed
         campaign recalls instead of re-failing them).
 
-        The cache manifest is synced when the batch completes *and* on
-        the error path, so every finished cell survives a mid-batch
-        crash (the checkpoint/resume contract).  On error or early
-        ``close()`` the in-flight pool iterator is drained/closed, so
-        the pool stays reusable for the next batch.
+        Each fresh outcome's cache entry is synced before the outcome
+        is yielded, so every cell a consumer has seen survives a crash
+        (the checkpoint/resume contract).  On error or early ``close()``
+        the in-flight pool iterator is drained/closed, so the pool stays
+        reusable for the next batch.
         """
         mode = failure_mode or self.failure_mode
         jobs = list(sim_jobs)
@@ -362,11 +363,11 @@ class CampaignRunner:
     ) -> Iterator[Tuple[int, Outcome]]:
         """Recall the hits, then consume worker outputs in retry rounds.
 
-        The single ``finally`` first disposes whatever stream is current
-        — draining a pool iterator (so the persistent pool is reusable
+        The single ``finally`` disposes whatever stream is current —
+        draining a pool iterator (so the persistent pool is reusable
         after an error or an abandoned generator) or closing the serial
         generator (so an aborted serial batch does not keep executing
-        cells) — and then syncs the cache manifest.
+        cells).
         """
         attempts: Dict[int, int] = {}
         try:
@@ -407,14 +408,12 @@ class CampaignRunner:
                         ))
                         if mode == "raise":
                             raise CampaignCellError(failure)
-                        if self.cache is not None:
-                            self.cache.put(key, failure.to_dict())
+                        self._persist(key, failure.to_dict())
                         for waiter in waiters[key]:
                             yield waiter, failure
                     else:
                         self.simulated += 1
-                        if self.cache is not None:
-                            self.cache.put(key, output)
+                        self._persist(key, output)
                         record = SimRecord.from_dict(output)
                         self.health.observe(OutcomeView(
                             ok=True, retried=att > 1,
@@ -441,8 +440,13 @@ class CampaignRunner:
                 stream, pooled = self._submit(round_items)
         finally:
             self._dispose(stream, pooled)
-            if self.cache is not None:
-                self.cache.sync()
+
+    def _persist(self, key: str, payload: dict) -> None:
+        """Put and sync a fresh outcome before it is yielded: whatever a
+        consumer does with it comes after its record is durable."""
+        if self.cache is not None:
+            self.cache.put(key, payload)
+            self.cache.sync()
 
     def _payload_for(
         self,

@@ -110,7 +110,3 @@ class PeftScheduler(Scheduler):
                 if indeg[child] == 0:
                     heapq.heappush(heap, (-rank[child], child))
         return schedule
-
-    def _optimistic_cost_table(self, context: SchedulingContext):
-        """Back-compat alias for :func:`optimistic_cost_table`."""
-        return optimistic_cost_table(context)

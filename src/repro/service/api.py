@@ -6,7 +6,9 @@ serialized by the store's internal lock, and every body on the wire is
 a schema-tagged JSON document validated at the boundary
 (:mod:`repro.service.wire`).  Workers are *not* behind this server —
 they are separate processes sharing the store file through WAL — so the
-API stays responsive while campaigns execute.
+API stays responsive while campaigns execute.  The server needs only
+the store: a cell's record is read from the result cache the store
+names, and only by the one-cell and store-dump endpoints.
 
 Endpoints (all responses wear the ``repro.service.response/v1``
 envelope)::
@@ -16,7 +18,7 @@ envelope)::
     GET  /api/campaigns                    all campaigns + state counts
     GET  /api/campaigns/<id>               one campaign's status
     GET  /api/campaigns/<id>/cells         its cells (?state= filters)
-    GET  /api/campaigns/<id>/cells/<key>   one cell, result included
+    GET  /api/campaigns/<id>/cells/<key>   one cell and its cached record
     GET  /api/metrics                      observe events + store counts
     GET  /api/store                        full store dump (CI artifact)
     POST /api/drain                        refuse new submissions

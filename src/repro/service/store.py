@@ -2,11 +2,13 @@
 
 One database file is the control plane's source of truth: campaigns,
 their cells, every cell's state, and the lease that says which worker is
-currently responsible for it.  Results themselves live in the shared
-content-addressed :class:`~repro.runner.cache.ResultCache`; the store
-keeps a copy of each cell's *record* JSON for the status API, but
-crash-resume correctness never depends on it — a cell re-executed after
-a lost lease hits the cache and comes back byte-identical.
+currently responsible for it — state, lease and cache key, no records.
+Records live only in the shared :class:`~repro.runner.cache.ResultCache`
+whose root the store names (:meth:`JobStore.name_cache`);
+:meth:`JobStore.cell` and :meth:`JobStore.dump` read terminal cells'
+records through it, every other query stays in the database.  A record
+is synced before its cell is completed, so a terminal cell's record is
+always readable.  An older store's ``result`` column is never read.
 
 **State machine** (enforced; illegal transitions raise or reject)::
 
@@ -45,10 +47,10 @@ seeded from ``MAX(global_seq)`` when it is opened.
 
 Completion requires the **current** lease token: a zombie worker whose
 lease was reclaimed (and possibly re-leased) gets ``False`` back and
-its result is discarded — the cell's truth is whatever the holder of
-the live lease wrote.  Attempt counts survive reclaim, so a cell that
-keeps killing its workers steps toward quarantine instead of cycling
-forever.
+its verdict is discarded — the cell's state is whatever the holder of
+the live lease completed it with.  Attempt counts survive reclaim, so a
+cell that keeps killing its workers steps toward quarantine instead of
+cycling forever.
 
 **Portability**: the schema uses TEXT/INTEGER columns, standard SQL and
 single-statement guarded updates (optimistic state checks in ``WHERE``
@@ -70,7 +72,9 @@ import sqlite3
 import threading
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.runner.cache import ResultCache
 from repro.runner.hashing import cache_key, digest
+from repro.runner.health import DONE, FAILED, QUARANTINED
 from repro.runner.jobs import SimJob
 from repro.service.lease import Lease, LeasedCell, lease_token
 from repro.service.wire import DUMP_SCHEMA, job_to_wire
@@ -79,10 +83,7 @@ from repro.service.wire import DUMP_SCHEMA, job_to_wire
 QUEUED = "queued"
 LEASED = "leased"
 RUNNING = "running"
-DONE = "done"
 CACHED = "cached"
-FAILED = "failed"
-QUARANTINED = "quarantined"
 
 CELL_STATES = (QUEUED, LEASED, RUNNING, DONE, CACHED, FAILED, QUARANTINED)
 
@@ -145,12 +146,24 @@ _SCHEMA_STATEMENTS = (
         lease_token   TEXT,
         lease_expires INTEGER,
         worker_id     TEXT,
-        result        TEXT,
         PRIMARY KEY (campaign_id, cell_key)
+    )
+    """,
+    """
+    CREATE TABLE IF NOT EXISTS result_cache (
+        id   INTEGER PRIMARY KEY CHECK (id = 1),
+        root TEXT NOT NULL
     )
     """,
     "CREATE INDEX IF NOT EXISTS idx_cells_state ON cells(state, global_seq)",
     "CREATE INDEX IF NOT EXISTS idx_cells_token ON cells(lease_token)",
+)
+
+#: Every cell query: one status dict per row, job documents left behind.
+_CELL_QUERY = (
+    "SELECT campaign_id AS campaign, cell_key AS key, global_seq AS seq,"
+    " state, label, attempts, reclaims, lease_token, lease_expires,"
+    " worker_id AS worker FROM cells"
 )
 
 #: Logical counters living in ``meta``.
@@ -177,6 +190,9 @@ class JobStore:
             isolation_level=None,  # explicit BEGIN IMMEDIATE transactions
         )
         self._conn.row_factory = sqlite3.Row
+        # The cache this store names, opened on the first record read.
+        self._cache: Optional[ResultCache] = None
+        self._cache_lock = threading.Lock()
         with self._lock:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -250,6 +266,50 @@ class JobStore:
             raise ValueError(f"tick step must be >= 1, got {n}")
         with self._lock, self._txn():
             return self._counter(_TICK, bump=n)
+
+    # ------------------------------------------------------------------ #
+    # the result cache                                                   #
+    # ------------------------------------------------------------------ #
+
+    def name_cache(self, root: str) -> None:
+        """Record ``root`` as the cache of this store's records; the first
+        name sticks, and naming another raises :class:`StoreError`."""
+        root = os.path.abspath(root)
+        with self._lock, self._txn():
+            self._conn.execute(
+                "INSERT OR IGNORE INTO result_cache(id, root) VALUES (1, ?)",
+                (root,),
+            )
+            named = self._conn.execute(
+                "SELECT root FROM result_cache"
+            ).fetchone()["root"]
+        if named != root:
+            raise StoreError(
+                f"this store's records live in the cache at {named}; "
+                f"a worker with the cache at {root} is refused"
+            )
+
+    def _with_records(
+        self, cells: List[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """``cells``, each with the cached record of a terminal cell (None
+        for the others) as ``result``, read from the named cache."""
+        terminal = [c for c in cells if c["state"] in TERMINAL_STATES]
+        with self._cache_lock:
+            if self._cache is None:
+                with self._lock:
+                    row = self._conn.execute(
+                        "SELECT root FROM result_cache"
+                    ).fetchone()
+                self._cache = ResultCache(row["root"]) if row else None
+            records = {} if self._cache is None else self._cache.get_many(
+                c["key"] for c in terminal
+            )
+        for cell in cells:
+            cell["result"] = None
+        for cell in terminal:
+            cell["result"] = records.get(cell["key"])
+        return cells
 
     # ------------------------------------------------------------------ #
     # submission                                                         #
@@ -427,16 +487,13 @@ class JobStore:
     # ------------------------------------------------------------------ #
 
     def complete(
-        self,
-        campaign_id: str,
-        key: str,
-        token: str,
-        state: str,
-        result: Optional[Dict[str, Any]] = None,
+        self, campaign_id: str, key: str, token: str, state: str
     ) -> bool:
         """Move a running cell to a terminal state, token-guarded.
 
-        Returns False when ``token`` is not the cell's *current* lease —
+        The caller has already made the cell's record durable in the
+        cache (the runner syncs before it yields an outcome).  Returns
+        False when ``token`` is not the cell's *current* lease —
         the zombie-writer case: the lease was reclaimed (and possibly
         re-leased) while this worker thought it still owned the cell.
         Raises :class:`IllegalTransition` when the target state is not
@@ -463,17 +520,11 @@ class JobStore:
                     f"{row['state']!r} -> {state!r} is not legal"
                 )
             self._conn.execute(
-                "UPDATE cells SET state = ?, result = ?, lease_token = NULL,"
+                "UPDATE cells SET state = ?, lease_token = NULL,"
                 " lease_expires = NULL"
                 " WHERE campaign_id = ? AND cell_key = ?"
                 " AND lease_token = ?",
-                (
-                    state,
-                    None if result is None else json.dumps(
-                        result, sort_keys=True
-                    ),
-                    campaign_id, key, token,
-                ),
+                (state, campaign_id, key, token),
             )
             return True
 
@@ -539,21 +590,14 @@ class JobStore:
         }
 
     def cells(
-        self,
-        campaign_id: str,
-        state: Optional[str] = None,
-        with_result: bool = False,
+        self, campaign_id: str, state: Optional[str] = None
     ) -> List[Dict[str, Any]]:
         """Cell rows of a campaign (submission order), without job docs."""
         if state is not None and state not in CELL_STATES:
             raise StoreError(
                 f"unknown state {state!r}; states are {CELL_STATES}"
             )
-        query = (
-            "SELECT campaign_id, cell_key, global_seq, state, label,"
-            " attempts, reclaims, lease_token, lease_expires, worker_id,"
-            " result FROM cells WHERE campaign_id = ?"
-        )
+        query = _CELL_QUERY + " WHERE campaign_id = ?"
         params: Tuple[Any, ...] = (campaign_id,)
         if state is not None:
             query += " AND state = ?"
@@ -561,40 +605,18 @@ class JobStore:
         query += " ORDER BY global_seq"
         with self._lock:
             rows = self._conn.execute(query, params).fetchall()
-        return [self._cell_dict(row, with_result=with_result) for row in rows]
+        return [dict(row) for row in rows]
 
     def cell(self, campaign_id: str, key: str) -> Optional[Dict[str, Any]]:
-        """One cell's full status (result included), or None."""
+        """One cell's full status, its cached record included, or None."""
         with self._lock:
             row = self._conn.execute(
-                "SELECT campaign_id, cell_key, global_seq, state, label,"
-                " attempts, reclaims, lease_token, lease_expires, worker_id,"
-                " result FROM cells WHERE campaign_id = ? AND cell_key = ?",
+                _CELL_QUERY + " WHERE campaign_id = ? AND cell_key = ?",
                 (campaign_id, key),
             ).fetchone()
         if row is None:
             return None
-        return self._cell_dict(row, with_result=True)
-
-    @staticmethod
-    def _cell_dict(row, with_result: bool) -> Dict[str, Any]:
-        out = {
-            "campaign": row["campaign_id"],
-            "key": row["cell_key"],
-            "seq": int(row["global_seq"]),
-            "state": row["state"],
-            "label": row["label"],
-            "attempts": int(row["attempts"]),
-            "reclaims": int(row["reclaims"]),
-            "lease_token": row["lease_token"],
-            "lease_expires": row["lease_expires"],
-            "worker": row["worker_id"],
-        }
-        if with_result:
-            out["result"] = (
-                json.loads(row["result"]) if row["result"] else None
-            )
-        return out
+        return self._with_records([dict(row)])[0]
 
     def data_version(self) -> int:
         """The change probe: moves when *another* connection commits.
@@ -626,8 +648,9 @@ class JobStore:
         """JSON-native dump of the control state (the CI artifact).
 
         Cell rows come without their job documents (which dominate the
-        bytes and are reproducible from the submission); results ride
-        along so the artifact alone explains every verdict.
+        bytes and are reproducible from the submission); terminal cells'
+        records ride along from the cache, so the artifact alone
+        explains every verdict.
         """
         campaigns = self.campaigns()
         return {
@@ -635,9 +658,9 @@ class JobStore:
             "tick": self.now(),
             "counts": self.counts(),
             "campaigns": campaigns,
-            "cells": [
+            "cells": self._with_records([
                 cell
                 for campaign in campaigns
-                for cell in self.cells(campaign["id"], with_result=True)
-            ],
+                for cell in self.cells(campaign["id"])
+            ]),
         }

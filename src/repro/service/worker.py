@@ -3,7 +3,9 @@
 A worker is a plain process holding its own :class:`JobStore` connection
 (processes meet through sqlite WAL, never through shared Python state)
 and a :class:`~repro.runner.pool.CampaignRunner` attached to the shared
-result cache.  Its loop::
+result cache, whose root it records in the store when it starts (a
+store names one cache; a worker bound to another is refused).  Its
+loop::
 
     poll:  tick the logical clock, reclaim expired leases, ask the
            health gate for admission
@@ -16,8 +18,9 @@ result cache.  Its loop::
            byte-identical records by construction); an outcome the
            runner recalled lands ``cached``, and the lease heartbeats
            as executed outcomes stream in
-    done:  token-guarded completion per cell; stale tokens mean the
-           lease was reclaimed while we ran and our verdict is discarded
+    done:  token-guarded completion per cell, after the runner synced
+           its record; stale tokens mean the lease was reclaimed while
+           we ran and our verdict is discarded
 
 An idle worker waits on the store, not on the clock.  It sleeps out
 its poll period in ~1 ms steps and after each one probes the store's
@@ -34,7 +37,7 @@ Crash-safety needs no worker cooperation: a SIGKILLed worker simply
 stops heartbeating and polling, every *other* worker's polls advance
 the shared logical clock past its lease expiry, and the reclaim requeues
 its unfinished cells exactly once.  Cells it had already completed are
-terminal in the store and present in the content-addressed cache, so
+terminal in the store and durable in the content-addressed cache, so
 the resumed cells' records are the cached bytes, not re-rolls.
 
 The health gate is the admission controller: each poll asks the
@@ -55,21 +58,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 from repro.observe.events import emit_event
-from repro.runner.health import HALT, TRANSIENT
+from repro.runner.health import HALT, verdict
 from repro.runner.pool import CampaignHaltedError, CampaignRunner
-from repro.runner.record import CellFailure, is_failure_record
-from repro.service.store import (
-    CACHED,
-    DONE,
-    FAILED,
-    JobStore,
-    Lease,
-    QUARANTINED,
-)
+from repro.service.store import CACHED, JobStore, Lease
 from repro.service.wire import job_from_wire
 
 #: How long an idle worker waits between polls (seconds; bounded wait,
@@ -109,23 +104,7 @@ class WorkerStats:
     halted: bool = False
 
     def as_dict(self) -> Dict[str, Any]:
-        out = {
-            "worker_id": self.worker_id,
-            "polls": self.polls,
-            "idle": self.idle,
-            "wakeups": self.wakeups,
-            "leases": self.leases,
-            "cells": self.cells,
-            "done": self.done,
-            "cached": self.cached,
-            "failed": self.failed,
-            "quarantined": self.quarantined,
-            "stale": self.stale,
-            "reclaimed": self.reclaimed,
-            "released": self.released,
-            "halted": self.halted,
-        }
-        return out
+        return asdict(self)
 
 
 class ServiceWorker:
@@ -148,6 +127,12 @@ class ServiceWorker:
                 "service workers need failure_mode='record': per-cell "
                 "failures are store rows, not exceptions"
             )
+        if runner.cache is None:
+            raise ValueError(
+                "service workers need a result cache: it is where the "
+                "store's records live"
+            )
+        store.name_cache(runner.cache.root)
         self.store = store
         self.runner = runner
         # Worker identity only needs to be unique among live workers on
@@ -277,7 +262,6 @@ class ServiceWorker:
             jobs, failure_mode="record"
         ):
             cell = cells[i]
-            record = outcome.to_dict()
             if self.runner.recalled != recalled:
                 recalled = self.runner.recalled
                 state = CACHED
@@ -285,39 +269,14 @@ class ServiceWorker:
                 # Live leases never expire: the heartbeat pushes expiry
                 # out by a full TTL every time a result lands.
                 self.store.heartbeat(token, self.ttl)
-                state = self._terminal_state(record)
-            self._finish(cell.campaign_id, cell.key, token, state, record)
-
-    @staticmethod
-    def _terminal_state(record: Dict[str, Any]) -> str:
-        """Map an execution outcome to its store state.
-
-        Successes are ``done``.  Failures reuse the
-        :class:`CellFailure` classification unchanged: a retryable
-        (transient-category) failure that still failed means the retry
-        loop gave up on the cell — ``quarantined``, like any failure
-        that burned more than one attempt.  A first-attempt permanent/
-        infrastructure verdict is a plain ``failed``.
-        """
-        if not is_failure_record(record):
-            return DONE
-        failure = CellFailure.from_dict(record)
-        if failure.category == TRANSIENT or failure.attempts > 1:
-            return QUARANTINED
-        return FAILED
+                state = verdict(outcome)
+            self._finish(cell.campaign_id, cell.key, token, state)
 
     def _finish(
-        self,
-        campaign_id: str,
-        key: str,
-        token: str,
-        state: str,
-        record: Dict[str, Any],
+        self, campaign_id: str, key: str, token: str, state: str
     ) -> None:
         """Token-guarded completion + stall hook + bookkeeping."""
-        accepted = self.store.complete(
-            campaign_id, key, token, state, result=record
-        )
+        accepted = self.store.complete(campaign_id, key, token, state)
         stats = self.stats
         if not accepted:
             # The lease was reclaimed (worker presumed dead) while this
@@ -325,14 +284,8 @@ class ServiceWorker:
             stats.stale += 1
             self._say(f"stale token for {key}; verdict discarded")
             return
-        if state == DONE:
-            stats.done += 1
-        elif state == CACHED:
-            stats.cached += 1
-        elif state == FAILED:
-            stats.failed += 1
-        else:
-            stats.quarantined += 1
+        # WorkerStats counts each terminal state in the field of its name.
+        setattr(stats, state, getattr(stats, state) + 1)
         self._completed += 1
         self._maybe_stall()
 

@@ -78,12 +78,12 @@ def test_corrupt_entry_reads_as_miss(cache):
 
 
 def test_corrupt_manifest_line_is_skipped(cache):
-    """A truncated manifest line (crashed writer) loses only that entry."""
+    """A corrupt manifest line loses only that entry."""
     cache.put(KEY, RECORD)
     cache.put(KEY2, RECORD)
     cache.close()
     with open(cache.index_path, "a", encoding="utf-8") as fh:
-        fh.write('{"k": "ef')  # torn final append
+        fh.write('{"k": "ef\n')  # a torn append, newline and all
     again = ResultCache(cache.root)
     assert again.get(KEY) == RECORD
     assert again.get(KEY2) == RECORD
@@ -174,20 +174,33 @@ def test_pack_rotation_keeps_every_entry_readable(tmp_path):
     }
 
 
-def test_sync_every_checkpoints_automatically(tmp_path):
-    """Every sync_every-th put flushes the manifest without an explicit sync."""
-    cache = ResultCache(str(tmp_path / "cache"), sync_every=2)
-    cache.put(KEY, RECORD)
-    assert not os.path.exists(cache.index_path)  # pending
-    cache.put(KEY2, RECORD)
-    fresh = ResultCache(cache.root)  # simulated crash: no close()
-    assert len(fresh) == 2
-    assert fresh.get(KEY) == RECORD
+def test_loaded_index_reads_what_others_synced_since(tmp_path):
+    """A loaded cache sees another instance's synced entries on its next
+    lookup, and consumes a manifest line only once its newline is there."""
+    reader = ResultCache(str(tmp_path / "cache"))
+    assert reader.get(KEY) is None  # loaded while the cache was empty
+    writer = ResultCache(reader.root)
+    writer.put(KEY, RECORD)
+    writer.sync()
+    assert reader.get(KEY) == RECORD
+
+    writer.put(KEY2, {"makespan": 2.0})
+    writer.sync()
+    with open(writer.index_path, "rb") as fh:
+        manifest = fh.read()
+    line = manifest[manifest.rfind(b"\n", 0, -1) + 1:]  # KEY2's line
+    with open(writer.index_path, "wb") as fh:
+        fh.write(manifest[: -len(line)] + line[:10])  # torn mid-line
+    assert reader.get_many([KEY2]) == {}
+    with open(writer.index_path, "ab") as fh:
+        fh.write(line[10:])
+    assert reader.get_many([KEY2]) == {KEY2: {"makespan": 2.0}}
+    assert reader.stats.errors == 0
 
 
 def test_unsynced_entries_lost_on_crash_simply_re_simulate(tmp_path):
     """Entries pending since the last sync read as misses after a crash."""
-    cache = ResultCache(str(tmp_path / "cache"), sync_every=100)
+    cache = ResultCache(str(tmp_path / "cache"))
     cache.put(KEY, RECORD)
     fresh = ResultCache(cache.root)  # crash before any sync
     assert fresh.get(KEY) is None

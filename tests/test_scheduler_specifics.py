@@ -9,7 +9,7 @@ from repro.schedulers.base import SchedulingContext
 from repro.schedulers.energy_aware import EnergyAwareHeftScheduler
 from repro.schedulers.genetic import GeneticScheduler
 from repro.schedulers.heft import HeftScheduler
-from repro.schedulers.peft import PeftScheduler
+from repro.schedulers.peft import optimistic_cost_table
 from repro.workflows.generators import ligo_inspiral, montage, random_dag
 from repro.workflows.graph import Workflow
 from repro.workflows.task import DataFile, cpu_task, gpu_task
@@ -48,18 +48,18 @@ class TestHeft:
 
 class TestPeft:
     def test_oct_exit_tasks_zero(self, ctx):
-        table = PeftScheduler()._optimistic_cost_table(ctx)
+        table = optimistic_cost_table(ctx)
         for name in ctx.workflow.exit_tasks():
             assert all(v == 0.0 for v in table[name].values())
 
     def test_oct_nonnegative_everywhere(self, ctx):
-        table = PeftScheduler()._optimistic_cost_table(ctx)
+        table = optimistic_cost_table(ctx)
         for row in table.values():
             assert all(v >= 0.0 for v in row.values())
 
     def test_oct_parent_geq_best_child(self, ctx):
         """OCT of a task is at least the best OCT+exec of each child."""
-        table = PeftScheduler()._optimistic_cost_table(ctx)
+        table = optimistic_cost_table(ctx)
         wf = ctx.workflow
         for name in wf.tasks:
             for device in ctx.eligible_devices(name):

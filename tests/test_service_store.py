@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import sqlite3
+import sys
 import threading
 
 import pytest
 
 from repro.experiments.common import make_job, preset_spec
+from repro.runner.cache import ResultCache
 from repro.service import (
     ALLOWED_TRANSITIONS,
     CELL_STATES,
@@ -18,7 +20,9 @@ from repro.service import (
     TERMINAL_STATES,
     can_transition,
 )
-from repro.service.store import CACHED, DONE, LEASED, QUEUED, RUNNING
+from repro.service.store import (
+    CACHED, DONE, FAILED, LEASED, QUEUED, RUNNING,
+)
 from repro.workflows.generators import montage
 
 CLUSTER = preset_spec("hybrid", nodes=2, cores_per_node=2, gpus_per_node=1)
@@ -167,29 +171,30 @@ def test_complete_requires_running_and_live_token(store):
 
     # leased (not yet running) cells cannot complete, even with the token
     with pytest.raises(IllegalTransition):
-        store.complete(cid, cell.key, lease.token, DONE, {"v": 1})
+        store.complete(cid, cell.key, lease.token, DONE)
 
     assert store.mark_running(lease.token) == 2
     # a non-terminal target state is rejected outright
     with pytest.raises(IllegalTransition):
-        store.complete(cid, cell.key, lease.token, RUNNING, {})
+        store.complete(cid, cell.key, lease.token, RUNNING)
     # a token the store never granted is a stale write: dropped, not an error
-    assert store.complete(cid, cell.key, "w9.999", DONE, {"v": 1}) is False
+    assert store.complete(cid, cell.key, "w9.999", DONE) is False
     assert store.cell(cid, cell.key)["state"] == RUNNING
 
-    assert store.complete(cid, cell.key, lease.token, DONE, {"v": 1}) is True
+    assert store.complete(cid, cell.key, lease.token, DONE) is True
     got = store.cell(cid, cell.key)
-    assert got["state"] == DONE and got["result"] == {"v": 1}
+    # the store holds no records; with no cache named there is none
+    assert got["state"] == DONE and got["result"] is None
     # a terminal cell clears its token, so a duplicate completion is a
     # stale write (dropped), never a second verdict
-    assert store.complete(cid, cell.key, lease.token, CACHED, {}) is False
+    assert store.complete(cid, cell.key, lease.token, CACHED) is False
     assert store.cell(cid, cell.key)["state"] == DONE
 
 
 def test_completing_an_unknown_cell_is_an_error(store):
     cid = store.submit("unknown", _jobs(1))
     with pytest.raises(StoreError):
-        store.complete(cid, "no-such-key", "w1.1", DONE, {})
+        store.complete(cid, "no-such-key", "w1.1", DONE)
 
 
 def test_release_returns_unfinished_cells_to_the_queue(store):
@@ -197,7 +202,7 @@ def test_release_returns_unfinished_cells_to_the_queue(store):
     lease = store.lease("w1", 3, ttl=5)
     store.mark_running(lease.token)
     cell = lease.cells[0]
-    store.complete(cid, cell.key, lease.token, DONE, {"v": 1})
+    store.complete(cid, cell.key, lease.token, DONE)
     assert store.release(lease.token) == 2  # the two unfinished ones
     counts = store.counts()
     assert counts[QUEUED] == 2 and counts[DONE] == 1
@@ -251,9 +256,9 @@ def test_reclaimed_lease_rejects_the_zombies_stale_token(store):
     key = live.cells[0].key
 
     # the presumed-dead worker wakes up and tries to write: discarded
-    assert store.complete(cid, key, dead.token, DONE, {"who": "dead"}) is False
-    assert store.complete(cid, key, live.token, DONE, {"who": "live"}) is True
-    assert store.cell(cid, key)["result"] == {"who": "live"}
+    assert store.complete(cid, key, dead.token, FAILED) is False
+    assert store.complete(cid, key, live.token, DONE) is True
+    assert store.cell(cid, key)["state"] == DONE
 
 
 # --------------------------------------------------------------------- #
@@ -299,16 +304,62 @@ def test_concurrent_lease_contention_never_double_assigns(tmp_path):
     assert len(set(flat)) == 24, "no cell claimed twice"
 
 
+def test_concurrent_record_reads_lose_no_synced_record(tmp_path):
+    """Eight threads read cells while they complete one by one: the
+    shared cache folds every synced manifest line in exactly once, so a
+    terminal cell always shows its record."""
+    store = JobStore(str(tmp_path / "store.db"))
+    cid = store.submit("reads", _jobs(16, prefix="read"))
+    store.name_cache(str(tmp_path / "cache"))
+    lease = store.lease("w1", 16, ttl=50)
+    store.mark_running(lease.token)
+    writer = ResultCache(str(tmp_path / "cache"))
+    done, missing = threading.Event(), []
+
+    def read() -> None:
+        while not done.is_set():
+            for leased in lease.cells:
+                cell = store.cell(cid, leased.key)
+                if cell["state"] == DONE and cell["result"] is None:
+                    missing.append(cell["key"])
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for cell in lease.cells:
+            writer.put(cell.key, {"key": cell.key})
+            writer.sync()
+            store.complete(cid, cell.key, lease.token, DONE)
+    finally:
+        done.set()
+        for t in threads:
+            t.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert missing == []
+    assert [c["result"] for c in store.dump()["cells"]] == [
+        {"key": c.key} for c in lease.cells
+    ]
+    store.close()
+
+
 # --------------------------------------------------------------------- #
 # queries                                                               #
 # --------------------------------------------------------------------- #
 
-def test_status_queries_and_dump_shapes(store):
+def test_status_queries_and_dump_shapes(store, tmp_path):
     cid = store.submit("shapes", _jobs(3))
     lease = store.lease("w1", 1, ttl=5)
     store.mark_running(lease.token)
     cell = lease.cells[0]
-    store.complete(cid, cell.key, lease.token, DONE, {"v": 2})
+    # records live in the cache the store names, synced before completion
+    store.name_cache(str(tmp_path / "cache"))
+    with ResultCache(str(tmp_path / "cache")) as cache:
+        cache.put(cell.key, {"v": 2})
+    store.complete(cid, cell.key, lease.token, DONE)
 
     status = store.campaign(cid)
     assert status["counts"][DONE] == 1 and status["counts"][QUEUED] == 2
@@ -321,8 +372,29 @@ def test_status_queries_and_dump_shapes(store):
         store.campaign("no-such-campaign")
     assert store.cell(cid, "no-such-key") is None
 
+    assert store.cell(cid, cell.key)["result"] == {"v": 2}
+    assert "result" not in store.cells(cid)[0]  # listings skip the cache
+
     dump = store.dump()
     assert dump["schema"].startswith("repro.service.dump/")
-    assert len(dump["cells"]) == 3
+    assert [c["result"] for c in dump["cells"]] == [{"v": 2}, None, None]
     assert dump["counts"][DONE] == 1
     assert store.has_queued() and not store.drained()
+
+
+def test_a_store_with_the_old_result_column_still_opens(tmp_path):
+    """A store written when cells carried their records opens and runs
+    the lifecycle; the old column is never read or written."""
+    path = str(tmp_path / "old.db")
+    JobStore(path).close()
+    raw = sqlite3.connect(path)
+    with raw:
+        raw.execute("ALTER TABLE cells ADD COLUMN result TEXT")
+    raw.close()
+    store = JobStore(path)
+    cid = store.submit("old", _jobs(1))
+    lease = store.lease("w1", 1, ttl=5)
+    store.mark_running(lease.token)
+    assert store.complete(cid, lease.cells[0].key, lease.token, DONE)
+    assert [c["result"] for c in store.dump()["cells"]] == [None]
+    store.close()

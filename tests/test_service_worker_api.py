@@ -14,7 +14,7 @@ import pytest
 from repro.experiments.common import make_job, preset_spec
 from repro.runner import CampaignRunner, ResultCache
 from repro.runner.hashing import cache_key
-from repro.service import JobStore
+from repro.service import JobStore, StoreError
 from repro.service.api import build_server
 from repro.service.store import (
     CACHED,
@@ -223,9 +223,10 @@ def test_failure_states_split_failed_from_quarantined(tmp_path, monkeypatch):
     with runner:
         stats = worker.run(max_polls=40)
     assert stats.failed == 1 and stats.done == 2
-    failed = store.cells(cid, state=FAILED, with_result=True)
+    failed = store.cells(cid, state=FAILED)
     assert len(failed) == 1
-    assert failed[0]["result"]["kind"].startswith("repro.cell-failure/")
+    record = store.cell(cid, failed[0]["key"])["result"]
+    assert record["kind"].startswith("repro.cell-failure/")
     store.close()
 
     # retryable (transient) failures that exhaust the retry budget
@@ -287,6 +288,44 @@ def test_worker_rejects_raise_mode_runners(tmp_path):
     store = JobStore(str(tmp_path / "store.db"))
     with pytest.raises(ValueError, match="record"):
         ServiceWorker(store, CampaignRunner(jobs=1, failure_mode="raise"))
+    store.close()
+
+
+def test_every_completed_cell_is_already_durable(tmp_path, monkeypatch):
+    """At each accepted complete(), a fresh cache on the worker's root
+    already returns the cell's record: durable before terminal."""
+    jobs = _jobs(5, seed=61, prefix="durable") + [_failing_job(seed=61)]
+    store = JobStore(str(tmp_path / "store.db"))
+    store.submit("durable", jobs)
+    runner, worker = _worker(store, tmp_path, "w1", batch=6, max_retries=0)
+    complete, durable = store.complete, []
+
+    def checked(campaign_id, key, *args, **kwargs):
+        found = ResultCache(runner.cache.root).get(key) is not None
+        accepted = complete(campaign_id, key, *args, **kwargs)
+        if accepted:
+            durable.append(found)
+        return accepted
+
+    monkeypatch.setattr(store, "complete", checked)
+    with runner:
+        stats = worker.run(max_polls=40)
+    assert stats.done == 5 and stats.failed == 1
+    assert durable == [True] * 6
+    store.close()
+
+
+def test_worker_on_another_cache_root_is_refused(tmp_path):
+    """A store names one cache: a worker bound to another root, or to
+    none, is refused, and the message names both roots."""
+    store = JobStore(str(tmp_path / "store.db"))
+    _worker(store, tmp_path, "w1")
+    with pytest.raises(StoreError) as refused:
+        _worker(store, tmp_path, "w2", cache="elsewhere")
+    assert str(tmp_path / "cache") in str(refused.value)
+    assert str(tmp_path / "elsewhere") in str(refused.value)
+    with pytest.raises(ValueError, match="cache"):
+        ServiceWorker(store, CampaignRunner(jobs=1, failure_mode="record"))
     store.close()
 
 
