@@ -5,8 +5,10 @@
 #   1. the determinism suite — --jobs 4 == --jobs 1 == warm cache for the
 #      representative experiments, plus runner/cache/spec unit properties;
 #   2. the golden-regression grid — pinned suite x scheduler makespans;
-#   3. a live CLI cross-check — `repro-flow exp t1` rendered under
-#      --jobs 1, --jobs 4 and a warm cache must be byte-identical.
+#   3. a live CLI cross-check — `repro-flow exp t1` and `exp f5` rendered
+#      under --jobs 1, --jobs 4 and a warm cache must be byte-identical.
+#      F5 repeats each static plan over several run seeds, so this also
+#      covers plan reuse inline, across pool workers and on a warm cache.
 #
 # Usage: bash scripts/check_determinism.sh   (from the repo root)
 
@@ -29,13 +31,18 @@ echo "== CLI cross-check: jobs=1 vs jobs=4 vs warm cache =="
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-python -m repro.cli exp t1 --jobs 1 > "$workdir/serial.txt"
-python -m repro.cli exp t1 --jobs 4 --cache-dir "$workdir/cache" > "$workdir/parallel.txt"
-python -m repro.cli exp t1 --jobs 4 --cache-dir "$workdir/cache" > "$workdir/warm.txt"
+for exp in t1 f5; do
+    echo "-- exp $exp"
+    python -m repro.cli exp "$exp" --jobs 1 > "$workdir/$exp-serial.txt"
+    python -m repro.cli exp "$exp" --jobs 4 --cache-dir "$workdir/cache" \
+        > "$workdir/$exp-parallel.txt"
+    python -m repro.cli exp "$exp" --jobs 4 --cache-dir "$workdir/cache" \
+        > "$workdir/$exp-warm.txt"
 
-diff "$workdir/serial.txt" "$workdir/parallel.txt" \
-    || { echo "FAIL: --jobs 4 diverged from --jobs 1" >&2; exit 1; }
-diff "$workdir/serial.txt" "$workdir/warm.txt" \
-    || { echo "FAIL: warm-cache rerun diverged" >&2; exit 1; }
+    diff "$workdir/$exp-serial.txt" "$workdir/$exp-parallel.txt" \
+        || { echo "FAIL: exp $exp --jobs 4 diverged from --jobs 1" >&2; exit 1; }
+    diff "$workdir/$exp-serial.txt" "$workdir/$exp-warm.txt" \
+        || { echo "FAIL: exp $exp warm-cache rerun diverged" >&2; exit 1; }
+done
 
 echo "determinism gate: OK"

@@ -22,6 +22,7 @@ from repro.core.orchestrator import Orchestrator, RunConfig, RunResult
 from repro.platform.cluster import Cluster
 from repro.platform import presets
 from repro.schedulers.base import Scheduler
+from repro.schedulers.schedule import Schedule
 from repro.workflows.graph import Workflow
 
 
@@ -31,6 +32,7 @@ def run_workflow(
     scheduler: Union[str, Scheduler] = "hdws",
     mode: str = "static",
     seed: int = 0,
+    plan: Optional[Schedule] = None,
     **config_kwargs,
 ) -> RunResult:
     """Run one workflow on one cluster and return the full result.
@@ -42,13 +44,16 @@ def run_workflow(
         scheduler: Scheduler registry name or instance.
         mode: ``static``, ``dynamic``, or ``adaptive``.
         seed: Master seed for all run randomness.
+        plan: A static plan made earlier from the same inputs; the run
+            executes it instead of planning (see
+            :meth:`Orchestrator.run`).
         **config_kwargs: Any further :class:`RunConfig` field.
     """
     cluster = cluster or presets.single_node_workstation()
     config = RunConfig(
         scheduler=scheduler, mode=mode, seed=seed, **config_kwargs
     )
-    return Orchestrator(config).run(workflow, cluster)
+    return Orchestrator(config).run(workflow, cluster, plan=plan)
 
 
 def compare_schedulers(

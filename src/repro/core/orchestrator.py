@@ -27,8 +27,8 @@ from repro.platform.cluster import Cluster
 from repro.schedulers import REGISTRY
 from repro.schedulers.base import Scheduler, SchedulingContext
 from repro.schedulers.schedule import Schedule
+from repro.staticcheck.workflow_checks import validate_workflow
 from repro.workflows.graph import Workflow
-from repro.workflows.validate import validate_workflow
 
 #: Execution modes the orchestrator supports.
 MODES = ("static", "dynamic", "adaptive")
@@ -164,14 +164,31 @@ class Orchestrator:
     def __init__(self, config: Optional[RunConfig] = None) -> None:
         self.config = config or RunConfig()
 
-    def run(self, workflow: Workflow, cluster: Cluster) -> RunResult:
+    def run(
+        self,
+        workflow: Workflow,
+        cluster: Cluster,
+        plan: Optional[Schedule] = None,
+    ) -> RunResult:
         """Execute one workflow on one cluster; returns the full result.
 
         The cluster is reset first, so one cluster instance can serve many
         sequential runs (its execution model's noise settings are adjusted
         in place for the run).
+
+        ``plan`` is a static-mode plan made earlier from the same
+        workflow, platform, scheduler and planning inputs (the run seed
+        plans nothing unless ``estimate_error_cv > 0``).  Given one, the
+        run skips the :class:`SchedulingContext` and ``schedule()`` but
+        still validates the plan against the workflow and, under
+        precheck, audits it.  The run only reads the plan, so one plan
+        can serve many runs.
         """
         cfg = self.config
+        if plan is not None and cfg.mode != "static":
+            raise ValueError(
+                f"a given plan needs static mode, not {cfg.mode!r}"
+            )
         if cfg.validate:
             validate_workflow(workflow)
         cluster.reset()
@@ -199,7 +216,7 @@ class Orchestrator:
 
             registry = MetricsRegistry()
         t_plan = clock()
-        policy, plan = self._build_policy(workflow, cluster)
+        policy, plan = self._build_policy(workflow, cluster, plan)
         if registry is not None:
             registry.profile("plan.wall_s", clock() - t_plan)
         if precheck and plan is not None:
@@ -245,7 +262,9 @@ class Orchestrator:
             energy=energy,
         )
 
-    def _build_policy(self, workflow: Workflow, cluster: Cluster):
+    def _build_policy(
+        self, workflow: Workflow, cluster: Cluster, plan: Optional[Schedule]
+    ):
         cfg = self.config
         if cfg.mode == "dynamic":
             return (
@@ -256,25 +275,26 @@ class Orchestrator:
                 ),
                 None,
             )
-        scheduler = cfg.resolve_scheduler()
         if cfg.mode == "adaptive":
             return (
                 AdaptivePolicy(
-                    planner=scheduler,
+                    planner=cfg.resolve_scheduler(),
                     drift_threshold=cfg.drift_threshold,
                     estimate_error_cv=cfg.estimate_error_cv,
                     seed=cfg.seed,
                 ),
                 None,
             )
-        context = SchedulingContext(
-            workflow,
-            cluster,
-            estimate_error_cv=cfg.estimate_error_cv,
-            rng=np.random.default_rng(cfg.seed + 7919),
-            release_times=cfg.release_times,
-        )
-        plan = scheduler.schedule(context)
+        if plan is None:
+            scheduler = cfg.resolve_scheduler()
+            context = SchedulingContext(
+                workflow,
+                cluster,
+                estimate_error_cv=cfg.estimate_error_cv,
+                rng=np.random.default_rng(cfg.seed + 7919),
+                release_times=cfg.release_times,
+            )
+            plan = scheduler.schedule(context)
         plan.validate_against(workflow)
         return StaticPolicy(plan), plan
 

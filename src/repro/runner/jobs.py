@@ -20,6 +20,20 @@ survive pickling; the text does), failure category and attempt count —
 so one poison cell cannot tear down a streaming campaign, and the
 parent can decide to retry, quarantine or raise with full context.
 
+**A worker plans each repeated static cell once**: a static plan is a pure
+function of its workflow, platform, scheduler and config, and it reads
+the run seed only through the estimate-error draw
+(``estimate_error_cv > 0``).  Grids repeat one plan over many run
+seeds, so :func:`execute_sim` keeps static plans in a per-process LRU
+memo keyed by the cell's content minus the seed (:func:`_plan_key`) and
+hands a hit to ``run_workflow(plan=)``, which skips the
+``SchedulingContext`` and ``schedule()`` but still validates (and,
+under precheck, audits) the plan.  Dynamic and adaptive cells plan
+inside the run, and timing cells measure planning itself, so they
+bypass the memo.  A hit is the very plan a miss would make and a run
+only reads its plan, so records stay byte-identical.  The memo holds at
+most ``_PLAN_MEMO_TASKS`` task assignments, whatever the plans' sizes.
+
 Payloads may carry three out-of-band keys the cache key never sees
 (they are runner policy, not cell content): ``attempt`` (1-based
 execution count, stamped by the retry loop), ``cell_key`` (the cell's
@@ -34,10 +48,12 @@ from __future__ import annotations
 import hashlib
 import time
 import traceback as traceback_module
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
 from repro.runner import specs
+from repro.runner.hashing import canonical_json
 from repro.runner.health import TransientCellError, classify_exception
 from repro.runner.record import CellFailure, SimRecord, TimingRecord
 
@@ -151,6 +167,58 @@ def _workflow_for(doc: Dict[str, Any], fingerprint: Optional[str] = None):
     return wf
 
 
+#: Static-mode plans by :func:`_plan_key`, least recently used first.
+#: Each entry is a pure function of its key, so the memo's *content* is
+#: the same in every process; only planning work differs.  Retained
+#: plans cost ~0.3–0.4 KB per task, so the bound is a budget of task
+#: assignments (``_plan_memo_tasks`` counts them), not an entry count.
+_plan_memo: "OrderedDict[tuple, Any]" = OrderedDict()
+_PLAN_MEMO_TASKS = 2048
+_plan_memo_tasks = 0
+
+
+def _plan_key(payload: Dict[str, Any]) -> Optional[tuple]:
+    """Memo key of a static cell's plan; ``None`` if the cell bypasses it.
+
+    The cell's content minus the run seed: the workflow fingerprint, the
+    canonical cluster and scheduler specs and the whole config except
+    ``seed``.  The seed stays when ``estimate_error_cv`` is set, since
+    the context then draws each task's estimate error from it.
+    """
+    config = payload["config"]
+    fingerprint = payload.get("workflow_fp")
+    if fingerprint is None or config.get("mode", "static") != "static":
+        return None
+    if not config.get("estimate_error_cv"):
+        config = {k: v for k, v in config.items() if k != "seed"}
+    return (
+        fingerprint,
+        canonical_json(payload["cluster"]),
+        canonical_json(payload["scheduler"]),
+        canonical_json(config),
+    )
+
+
+def _recall_plan(key: Optional[tuple]):
+    """The memoized plan for ``key`` (marked recently used), or ``None``."""
+    plan = _plan_memo.get(key)
+    if plan is not None:
+        _plan_memo.move_to_end(key)
+    return plan
+
+
+def _remember_plan(key: tuple, plan) -> None:
+    """Memoize ``plan``, evicting least recently used plans to the budget."""
+    global _plan_memo_tasks
+    if plan.n_tasks > _PLAN_MEMO_TASKS:
+        return
+    _plan_memo[key] = plan
+    _plan_memo_tasks += plan.n_tasks
+    while _plan_memo_tasks > _PLAN_MEMO_TASKS:
+        _key, old = _plan_memo.popitem(last=False)
+        _plan_memo_tasks -= old.n_tasks
+
+
 def _maybe_inject_failure(payload: Dict[str, Any]) -> None:
     """Deterministic failure injection, driven by the payload's spec.
 
@@ -219,7 +287,13 @@ def execute_sim(payload: Dict[str, Any]) -> Dict[str, Any]:
         cluster = specs.build(payload["cluster"])
         scheduler = _build_scheduler(payload["scheduler"])
         config = {k: specs.build(v) for k, v in payload["config"].items()}
-        result = run_workflow(wf, cluster, scheduler=scheduler, **config)
+        key = _plan_key(payload)
+        plan = _recall_plan(key)
+        result = run_workflow(
+            wf, cluster, scheduler=scheduler, plan=plan, **config
+        )
+        if key is not None and plan is None:
+            _remember_plan(key, result.plan)
         return SimRecord.from_run(result).to_dict()
     except Exception as exc:
         return _failure_dict(exc, payload, time.perf_counter() - t0)

@@ -1,12 +1,11 @@
 """Workflow-layer static checks (submission-time structural validation).
 
-This is the check group :func:`repro.workflows.validate.validate_workflow`
-has always run, re-homed into the findings pipeline: acyclicity, orphan
-files, consumed-but-never-produced files, eligibility sanity, and no-op
-tasks.  All findings here are errors — a workflow failing any of them is
-structurally malformed, not merely suspicious — which keeps the historical
-``validate_workflow`` contract (raise on any problem) intact through the
-shim.
+:func:`check_workflow` returns the structural findings: acyclicity,
+orphan files, consumed-but-never-produced files, eligibility sanity and
+no-op tasks.  All of them are errors — a workflow failing any of them is
+structurally malformed, not merely suspicious — so
+:func:`validate_workflow`, the orchestrator's pre-run gate, raises
+:class:`ValidationError` on any finding.
 """
 
 from __future__ import annotations
@@ -93,3 +92,27 @@ def check_workflow(workflow: Workflow) -> List[Finding]:
             )
 
     return findings
+
+
+class ValidationError(ValueError):
+    """Raised by :func:`validate_workflow` with all problems listed."""
+
+    def __init__(self, problems: List[str]) -> None:
+        self.problems = list(problems)
+        super().__init__(
+            "workflow validation failed:\n  - " + "\n  - ".join(self.problems)
+        )
+
+
+def validate_workflow(workflow: Workflow) -> None:
+    """Raise :class:`ValidationError` if the workflow is malformed.
+
+    A clean pass is remembered on the workflow (invalidated on mutation),
+    so running the same instance many times validates it once.
+    """
+    if getattr(workflow, "_validated_ok", False):
+        return
+    problems = [finding.message for finding in check_workflow(workflow)]
+    if problems:
+        raise ValidationError(problems)
+    workflow._validated_ok = True

@@ -5,6 +5,7 @@ import pytest
 from repro.core.ensemble import EnsembleMember, EnsembleRunner
 from repro.core.orchestrator import RunConfig
 from repro.platform import presets
+from repro.staticcheck.workflow_checks import validate_workflow
 from repro.workflows.ensemble import (
     member_ids,
     member_prefix,
@@ -13,7 +14,6 @@ from repro.workflows.ensemble import (
     split_member,
 )
 from repro.workflows.generators import blast, montage
-from repro.workflows.validate import validate_workflow
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.platform.devices import DeviceClass
+from repro.staticcheck.workflow_checks import validate_workflow
 from repro.workflows.generators import (
     ALL_GENERATORS,
     SCIENTIFIC_SUITES,
@@ -17,7 +18,6 @@ from repro.workflows.generators import (
     random_dag,
     sipht,
 )
-from repro.workflows.validate import validate_workflow
 
 
 class TestGeneric:

@@ -127,7 +127,7 @@ def test_node_store_lru_keeps_most_recent(accesses):
        st.integers(min_value=0, max_value=1000))
 @settings(max_examples=25, deadline=None)
 def test_random_dag_always_valid(n_tasks, ccr, seed):
-    from repro.workflows.validate import validate_workflow
+    from repro.staticcheck.workflow_checks import validate_workflow
 
     wf = random_dag(n_tasks=n_tasks, ccr=ccr, seed=seed)
     validate_workflow(wf)
@@ -140,7 +140,7 @@ def test_random_dag_always_valid(n_tasks, ccr, seed):
        st.integers(min_value=0, max_value=100))
 @settings(max_examples=25, deadline=None)
 def test_layered_dag_always_valid(layers, width, seed):
-    from repro.workflows.validate import validate_workflow
+    from repro.staticcheck.workflow_checks import validate_workflow
 
     wf = layered_dag(layers=layers, width=width, seed=seed)
     validate_workflow(wf)

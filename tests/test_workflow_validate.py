@@ -3,9 +3,13 @@
 import pytest
 
 from repro.platform.devices import DeviceClass
+from repro.staticcheck.workflow_checks import (
+    ValidationError,
+    check_workflow,
+    validate_workflow,
+)
 from repro.workflows.graph import Workflow
 from repro.workflows.task import DataFile, Task, cpu_task
-from repro.workflows.validate import ValidationError, find_problems, validate_workflow
 
 
 def valid_wf():
@@ -28,13 +32,13 @@ class TestValidation:
         wf = Workflow("w")
         wf.add_file(DataFile("ghost", 1.0))  # not initial, no producer
         wf.add_task(cpu_task("t", 1.0, inputs=("ghost",)))
-        problems = find_problems(wf)
+        problems = [f.message for f in check_workflow(wf)]
         assert any("never produced" in p for p in problems)
 
     def test_registered_but_unused_file(self):
         wf = valid_wf()
         wf.add_file(DataFile("orphan", 1.0))
-        problems = find_problems(wf)
+        problems = [f.message for f in check_workflow(wf)]
         assert any("unused" in p for p in problems)
 
     def test_cycle_via_control_edges(self):
@@ -43,7 +47,7 @@ class TestValidation:
         wf.add_task(cpu_task("a", 1.0, outputs=("a2b",)))
         wf.add_task(cpu_task("b", 1.0, inputs=("a2b",)))
         wf.add_control_edge("b", "a")
-        problems = find_problems(wf)
+        problems = [f.message for f in check_workflow(wf)]
         assert any("cycle" in p for p in problems)
 
     def test_no_eligible_class(self):
@@ -52,13 +56,13 @@ class TestValidation:
         wf.add_task(Task("t", 1.0, affinity={DeviceClass.CPU: 0.0},
                          outputs=("o",)))
         wf.add_task(cpu_task("c", 1.0, inputs=("o",)))
-        problems = find_problems(wf)
+        problems = [f.message for f in check_workflow(wf)]
         assert any("no device class" in p for p in problems)
 
     def test_zero_work_no_data_role(self):
         wf = valid_wf()
         wf.add_task(cpu_task("noop", 0.0))
-        problems = find_problems(wf)
+        problems = [f.message for f in check_workflow(wf)]
         assert any("zero work" in p for p in problems)
 
     def test_error_lists_all_problems(self):
