@@ -27,28 +27,30 @@ from repro.schedulers.schedule import Schedule
 
 
 class AdaptivePolicy(ExecutionPolicy):
-    """Static plan + drift-triggered frontier rescheduling."""
+    """Static plan + drift-triggered frontier rescheduling.
+
+    The initial plan and every re-plan price placements through
+    ``context``, built for the run's workflow and cluster (estimate
+    error included).  The policy only reads it.
+    """
 
     def __init__(
         self,
+        context: SchedulingContext,
         planner: Optional[Scheduler] = None,
         drift_threshold: float = 0.10,
         max_replans: int = 50,
-        estimate_error_cv: float = 0.0,
-        seed: int = 0,
         allow_stealing: bool = True,
         steal_tolerance: float = 1.5,
     ) -> None:
         self.planner = planner or HdwsScheduler()
         self.drift_threshold = drift_threshold
         self.max_replans = max_replans
-        self.estimate_error_cv = estimate_error_cv
-        self.seed = seed
         self.allow_stealing = allow_stealing
         self.steal_tolerance = steal_tolerance
         self.replans = 0
         self.steals = 0
-        self._context: Optional[SchedulingContext] = None
+        self._context = context
         self._plan: Optional[Schedule] = None
         self._queues: Dict[str, List[str]] = {}
         self._dvfs: Dict[str, str] = {}
@@ -65,15 +67,6 @@ class AdaptivePolicy(ExecutionPolicy):
 
     def prepare(self, executor) -> None:
         """Compute the initial full plan."""
-        import numpy as np
-
-        self._context = SchedulingContext(
-            executor.workflow,
-            executor.cluster,
-            estimate_error_cv=self.estimate_error_cv,
-            rng=np.random.default_rng(self.seed + 7919),
-            release_times=executor.release_times,
-        )
         self._plan = self.planner.schedule(self._context)
         self._dvfs = dict(self._plan.dvfs_choice)
         self._ranks = self._context.upward_ranks(use_best=True)

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Optional, Union
 from repro.core.orchestrator import Orchestrator, RunConfig, RunResult
 from repro.platform.cluster import Cluster
 from repro.platform import presets
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, SchedulingContext
 from repro.schedulers.schedule import Schedule
 from repro.workflows.graph import Workflow
 
@@ -33,6 +33,7 @@ def run_workflow(
     mode: str = "static",
     seed: int = 0,
     plan: Optional[Schedule] = None,
+    context: Optional[SchedulingContext] = None,
     **config_kwargs,
 ) -> RunResult:
     """Run one workflow on one cluster and return the full result.
@@ -47,13 +48,18 @@ def run_workflow(
         plan: A static plan made earlier from the same inputs; the run
             executes it instead of planning (see
             :meth:`Orchestrator.run`).
+        context: A scheduling context built earlier for this workflow and
+            cluster with the same planning inputs; the run plans from it
+            instead of building its own (see :meth:`Orchestrator.run`).
         **config_kwargs: Any further :class:`RunConfig` field.
     """
     cluster = cluster or presets.single_node_workstation()
     config = RunConfig(
         scheduler=scheduler, mode=mode, seed=seed, **config_kwargs
     )
-    return Orchestrator(config).run(workflow, cluster, plan=plan)
+    return Orchestrator(config).run(
+        workflow, cluster, plan=plan, context=context
+    )
 
 
 def compare_schedulers(

@@ -2,8 +2,9 @@
 
 The :class:`Orchestrator` glues the layers together: it resolves a
 scheduler, builds the estimation context (optionally with systematic
-estimate error), chooses an execution policy for the requested mode,
-executes the workflow on the (reset) cluster, and integrates energy.
+estimate error) — the one place a run's context is built, in every
+mode — chooses an execution policy for the requested mode, executes
+the workflow on the (reset) cluster, and integrates energy.
 Every benchmark and example drives runs through this class so that
 "running Montage with HEFT on the hybrid cluster" is one reproducible
 call.
@@ -127,6 +128,9 @@ class RunResult:
     plan: Optional[Schedule]
     execution: ExecutionResult
     energy: EnergyReport
+    #: The scheduling context the run planned from (None when it
+    #: executed a given plan).
+    context: Optional[SchedulingContext] = None
 
     @property
     def makespan(self) -> float:
@@ -169,6 +173,7 @@ class Orchestrator:
         workflow: Workflow,
         cluster: Cluster,
         plan: Optional[Schedule] = None,
+        context: Optional[SchedulingContext] = None,
     ) -> RunResult:
         """Execute one workflow on one cluster; returns the full result.
 
@@ -183,11 +188,31 @@ class Orchestrator:
         still validates the plan against the workflow and, under
         precheck, audits it.  The run only reads the plan, so one plan
         can serve many runs.
+
+        ``context`` is a :class:`SchedulingContext` built earlier for
+        these very ``workflow`` and ``cluster`` objects, the same release
+        times and the same estimate error (the run seed feeds a context
+        only when ``estimate_error_cv > 0``); a context built for another
+        workflow, platform or release times is refused.  Given one, the
+        run plans from it in any mode instead of building its own.  A
+        context reads the platform's runtime state only when built and
+        its lazy tables are content-equal, so one context can serve many
+        runs.  ``result.context`` returns the context the run planned
+        from, as ``result.plan`` returns the plan.
         """
         cfg = self.config
         if plan is not None and cfg.mode != "static":
             raise ValueError(
                 f"a given plan needs static mode, not {cfg.mode!r}"
+            )
+        if context is not None and (
+            context.workflow is not workflow
+            or context.cluster is not cluster
+            or context.release_times != (cfg.release_times or {})
+        ):
+            raise ValueError(
+                "a given context was built for another workflow, "
+                "platform or release times"
             )
         if cfg.validate:
             validate_workflow(workflow)
@@ -216,7 +241,9 @@ class Orchestrator:
 
             registry = MetricsRegistry()
         t_plan = clock()
-        policy, plan = self._build_policy(workflow, cluster, plan)
+        policy, plan, context = self._build_policy(
+            workflow, cluster, plan, context
+        )
         if registry is not None:
             registry.profile("plan.wall_s", clock() - t_plan)
         if precheck and plan is not None:
@@ -260,33 +287,28 @@ class Orchestrator:
             plan=plan,
             execution=execution,
             energy=energy,
+            context=context,
         )
 
     def _build_policy(
-        self, workflow: Workflow, cluster: Cluster, plan: Optional[Schedule]
+        self,
+        workflow: Workflow,
+        cluster: Cluster,
+        plan: Optional[Schedule],
+        context: Optional[SchedulingContext],
     ):
+        """(policy, plan, context) for the configured mode.
+
+        A given plan needs no context.  Otherwise the run plans from the
+        given context, or builds its own here, after the scheduler
+        resolves; the seed feeds it only through the estimate error.
+        """
         cfg = self.config
-        if cfg.mode == "dynamic":
-            return (
-                DynamicMctPolicy(
-                    locality_aware=cfg.locality_aware,
-                    estimate_error_cv=cfg.estimate_error_cv,
-                    seed=cfg.seed,
-                ),
-                None,
-            )
-        if cfg.mode == "adaptive":
-            return (
-                AdaptivePolicy(
-                    planner=cfg.resolve_scheduler(),
-                    drift_threshold=cfg.drift_threshold,
-                    estimate_error_cv=cfg.estimate_error_cv,
-                    seed=cfg.seed,
-                ),
-                None,
-            )
-        if plan is None:
-            scheduler = cfg.resolve_scheduler()
+        if plan is not None:
+            plan.validate_against(workflow)
+            return StaticPolicy(plan), plan, None
+        scheduler = None if cfg.mode == "dynamic" else cfg.resolve_scheduler()
+        if context is None:
             context = SchedulingContext(
                 workflow,
                 cluster,
@@ -294,9 +316,21 @@ class Orchestrator:
                 rng=np.random.default_rng(cfg.seed + 7919),
                 release_times=cfg.release_times,
             )
-            plan = scheduler.schedule(context)
+        if cfg.mode == "dynamic":
+            policy = DynamicMctPolicy(
+                context, locality_aware=cfg.locality_aware
+            )
+            return policy, None, context
+        if cfg.mode == "adaptive":
+            policy = AdaptivePolicy(
+                context,
+                planner=scheduler,
+                drift_threshold=cfg.drift_threshold,
+            )
+            return policy, None, context
+        plan = scheduler.schedule(context)
         plan.validate_against(workflow)
-        return StaticPolicy(plan), plan
+        return StaticPolicy(plan), plan, context
 
     def _failure_horizon(
         self, plan: Optional[Schedule], workflow: Workflow, cluster: Cluster

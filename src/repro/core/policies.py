@@ -200,34 +200,23 @@ class DynamicMctPolicy(ExecutionPolicy):
     Ready tasks are considered in decreasing upward rank (so the critical
     path keeps priority); each is matched to the free eligible device
     minimizing estimated completion, optionally including live staging
-    costs from the replica catalog.
+    costs from the replica catalog.  Estimates come from ``context``,
+    built for the run's workflow and cluster (estimate error included).
     """
 
     def __init__(
         self,
+        context: SchedulingContext,
         locality_aware: bool = False,
         ranked: bool = True,
-        estimate_error_cv: float = 0.0,
-        seed: int = 0,
     ) -> None:
         self.locality_aware = locality_aware
         self.ranked = ranked
-        self.estimate_error_cv = estimate_error_cv
-        self.seed = seed
-        self._context: Optional[SchedulingContext] = None
+        self._context = context
         self._ranks: Dict[str, float] = {}
 
     def prepare(self, executor) -> None:
-        """Precompute estimates and task priorities."""
-        import numpy as np
-
-        self._context = SchedulingContext(
-            executor.workflow,
-            executor.cluster,
-            estimate_error_cv=self.estimate_error_cv,
-            rng=np.random.default_rng(self.seed + 7919),
-            release_times=executor.release_times,
-        )
+        """Precompute task priorities."""
         if self.ranked:
             self._ranks = self._context.upward_ranks()
         else:

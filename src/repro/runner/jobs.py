@@ -20,19 +20,33 @@ survive pickling; the text does), failure category and attempt count —
 so one poison cell cannot tear down a streaming campaign, and the
 parent can decide to retry, quarantine or raise with full context.
 
-**A worker plans each repeated static cell once**: a static plan is a pure
-function of its workflow, platform, scheduler and config, and it reads
-the run seed only through the estimate-error draw
-(``estimate_error_cv > 0``).  Grids repeat one plan over many run
-seeds, so :func:`execute_sim` keeps static plans in a per-process LRU
-memo keyed by the cell's content minus the seed (:func:`_plan_key`) and
-hands a hit to ``run_workflow(plan=)``, which skips the
-``SchedulingContext`` and ``schedule()`` but still validates (and,
-under precheck, audits) the plan.  Dynamic and adaptive cells plan
-inside the run, and timing cells measure planning itself, so they
-bypass the memo.  A hit is the very plan a miss would make and a run
-only reads its plan, so records stay byte-identical.  The memo holds at
-most ``_PLAN_MEMO_TASKS`` task assignments, whatever the plans' sizes.
+**A worker plans each repeated static cell once**: a static plan is a
+pure function of its planning inputs — the workflow, the platform and
+the release times — plus its scheduler, and it reads the run seed only
+through the estimate-error draw (``estimate_error_cv > 0``).  Grids
+repeat one plan over many run seeds, fault models and noise levels, so
+:func:`execute_sim` keeps static plans in a per-process LRU memo keyed
+by exactly those inputs (:func:`_memo_keys`) and hands a hit to
+``run_workflow(plan=)``, which skips the ``SchedulingContext`` and
+``schedule()`` but still validates (and, under precheck, audits) the
+plan.  Dynamic and adaptive cells plan inside the run, and timing cells
+measure planning itself, so they bypass the memo.  A hit is the very
+plan a miss would make and a run only reads its plan, so records stay
+byte-identical.  The memo holds at most ``_PLAN_MEMO_TASKS`` task
+assignments, whatever the plans' sizes.
+
+**A worker builds each grid row's platform and context once**: a row
+runs many schedulers and modes on one workflow and one platform.  The
+orchestrator resets a cluster before every run, so the worker keeps the
+most recent ``Cluster`` and reuses it for every cell with the same
+canonical cluster spec.  At zero estimate error a ``SchedulingContext``
+is a pure function of the planning inputs: it reads the platform's
+runtime state only when built and its lazy tables are content-equal
+whichever scheduler fills them, so the worker keeps the most recent
+context and hands it to ``run_workflow(context=)`` for the next cell
+with the same inputs, in any mode.  Cells with estimate error draw
+their context from the run seed, and bypass it.  Each memo holds one
+entry, so a process retains at most one platform and one context.
 
 Payloads may carry three out-of-band keys the cache key never sees
 (they are runner policy, not cell content): ``attempt`` (1-based
@@ -50,7 +64,7 @@ import time
 import traceback as traceback_module
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.runner import specs
 from repro.runner.hashing import canonical_json
@@ -167,36 +181,86 @@ def _workflow_for(doc: Dict[str, Any], fingerprint: Optional[str] = None):
     return wf
 
 
-#: Static-mode plans by :func:`_plan_key`, least recently used first.
-#: Each entry is a pure function of its key, so the memo's *content* is
-#: the same in every process; only planning work differs.  Retained
-#: plans cost ~0.3–0.4 KB per task, so the bound is a budget of task
-#: assignments (``_plan_memo_tasks`` counts them), not an entry count.
+#: Static-mode plans by plan key (:func:`_memo_keys`), least recently
+#: used first.  Each entry is a pure function of its key, so the memo's
+#: *content* is the same in every process; only planning work differs.
+#: Retained plans cost ~0.3–0.4 KB per task, so the bound is a budget of
+#: task assignments (``_plan_memo_tasks`` counts them), not an entry
+#: count.
 _plan_memo: "OrderedDict[tuple, Any]" = OrderedDict()
 _PLAN_MEMO_TASKS = 2048
 _plan_memo_tasks = 0
 
+#: The most recent cell's platform, as ``(canonical cluster spec,
+#: Cluster)``.  Every run resets the cluster first, so the instance is
+#: the same as a freshly built one for every cell that names the spec.
+_platform_memo: Optional[tuple] = None
 
-def _plan_key(payload: Dict[str, Any]) -> Optional[tuple]:
-    """Memo key of a static cell's plan; ``None`` if the cell bypasses it.
+#: The most recent context a cell built or used, as ``(context key,
+#: SchedulingContext)``.  A row's cells run back to back, so one entry
+#: serves the row and the next row's first cell replaces it.
+_context_memo: Optional[tuple] = None
 
-    The cell's content minus the run seed: the workflow fingerprint, the
-    canonical cluster and scheduler specs and the whole config except
-    ``seed``.  The seed stays when ``estimate_error_cv`` is set, since
-    the context then draws each task's estimate error from it.
+
+def _memo_keys(
+    payload: Dict[str, Any], cluster_key: str
+) -> Tuple[Optional[tuple], Optional[tuple]]:
+    """The cell's ``(plan key, context key)``; ``None`` bypasses a memo.
+
+    The context key is the planning inputs: the workflow fingerprint,
+    the canonical cluster spec and the release times.  The plan key adds
+    the scheduler spec, and with ``estimate_error_cv > 0`` the error and
+    the run seed, since the context then draws each task's estimate
+    error from the seed; such a cell bypasses the context memo.  Noise,
+    faults, recovery and the rest of the config never reach
+    ``schedule()``.  Only static cells plan before the run; a payload
+    without a workflow fingerprint bypasses both memos.
     """
     config = payload["config"]
     fingerprint = payload.get("workflow_fp")
-    if fingerprint is None or config.get("mode", "static") != "static":
-        return None
-    if not config.get("estimate_error_cv"):
-        config = {k: v for k, v in config.items() if k != "seed"}
-    return (
+    if fingerprint is None:
+        return None, None
+    inputs = (
         fingerprint,
-        canonical_json(payload["cluster"]),
-        canonical_json(payload["scheduler"]),
-        canonical_json(config),
+        cluster_key,
+        canonical_json(config.get("release_times") or {}),
     )
+    error_cv = config.get("estimate_error_cv")
+    plan_key = None
+    if config.get("mode", "static") == "static":
+        plan_key = inputs + (canonical_json(payload["scheduler"]),)
+        if error_cv:
+            plan_key += (error_cv, config.get("seed", 0))
+    return plan_key, None if error_cv else inputs
+
+
+def _platform_for(spec: Dict[str, Any], key: str):
+    """The cluster ``spec`` builds: the retained one if ``key`` matches."""
+    global _platform_memo
+    if _platform_memo is None or _platform_memo[0] != key:
+        _platform_memo = (key, specs.build(spec))
+    return _platform_memo[1]
+
+
+def _recall_context(key: Optional[tuple], wf, cluster):
+    """The retained context for ``key`` if built on these objects, or None.
+
+    The identity test matters when the workflow or platform memo has
+    rebuilt an equal object since the context was made: the orchestrator
+    refuses a context built for another workflow or cluster object.
+    """
+    if key is None or _context_memo is None or _context_memo[0] != key:
+        return None
+    context = _context_memo[1]
+    if context.workflow is wf and context.cluster is cluster:
+        return context
+    return None
+
+
+def _remember_context(key: tuple, context) -> None:
+    """Retain ``context`` as the one context of this process."""
+    global _context_memo
+    _context_memo = (key, context)
 
 
 def _recall_plan(key: Optional[tuple]):
@@ -284,16 +348,23 @@ def execute_sim(payload: Dict[str, Any]) -> Dict[str, Any]:
     try:
         _maybe_inject_failure(payload)
         wf = _workflow_for(payload["workflow"], payload.get("workflow_fp"))
-        cluster = specs.build(payload["cluster"])
+        cluster_key = canonical_json(payload["cluster"])
+        cluster = _platform_for(payload["cluster"], cluster_key)
         scheduler = _build_scheduler(payload["scheduler"])
         config = {k: specs.build(v) for k, v in payload["config"].items()}
-        key = _plan_key(payload)
-        plan = _recall_plan(key)
+        plan_key, context_key = _memo_keys(payload, cluster_key)
+        plan = _recall_plan(plan_key)
+        context = None
+        if plan is None:
+            context = _recall_context(context_key, wf, cluster)
         result = run_workflow(
-            wf, cluster, scheduler=scheduler, plan=plan, **config
+            wf, cluster, scheduler=scheduler, plan=plan, context=context,
+            **config,
         )
-        if key is not None and plan is None:
-            _remember_plan(key, result.plan)
+        if plan_key is not None and plan is None:
+            _remember_plan(plan_key, result.plan)
+        if context_key is not None and result.context is not None:
+            _remember_context(context_key, result.context)
         return SimRecord.from_run(result).to_dict()
     except Exception as exc:
         return _failure_dict(exc, payload, time.perf_counter() - t0)

@@ -30,7 +30,15 @@ class SchedulingError(RuntimeError):
 
 
 class SchedulingContext:
-    """Precomputed cost estimates for one (workflow, cluster) pair."""
+    """Precomputed cost estimates for one (workflow, cluster) pair.
+
+    The context reads the platform's runtime state only when it is
+    built: the devices alive then are the devices it prices, whatever
+    fails later.  Everything its lazy tables read afterwards is static
+    (specs, links, NIC, disk and storage figures), so every table is a
+    pure function of the construction inputs and one context can serve
+    many runs on the same (reset) cluster.
+    """
 
     def __init__(
         self,
@@ -53,7 +61,7 @@ class SchedulingContext:
             if rng is None:
                 raise ValueError(
                     "estimate_error_cv > 0 requires a caller-supplied rng; "
-                    "derive it from the run seed (see Orchestrator._build_policy)"
+                    "derive it from the run seed (see Orchestrator.run)"
                 )
             sigma2 = np.log(1.0 + estimate_error_cv ** 2)
             for name in workflow.tasks:
@@ -66,6 +74,7 @@ class SchedulingContext:
         # devices from a handful of catalogue specs, so this collapses the
         # model-call count from |tasks| x |devices| to |tasks| x |specs|.
         alive = cluster.alive_devices()
+        self._alive: List[Device] = alive
         self._eligible: Dict[str, List[Device]] = {}
         self._exec: Dict[str, Dict[str, float]] = {}
         unset = object()
@@ -132,6 +141,8 @@ class SchedulingContext:
         self._dbw_vec: Optional[np.ndarray] = None
         self._links_complete = True
         self._rank_arrays_cache: Optional[tuple] = None
+        self._dev_table: Optional[tuple] = None
+        self._oct_vec: Dict[str, tuple] = {}
 
         # Cluster-average communication figures for rank computations.
         links = cluster.interconnect.links
@@ -336,10 +347,15 @@ class SchedulingContext:
         return cached
 
     def _device_table(self) -> tuple:
-        """(uids, index) over alive devices in cluster order (lazy)."""
-        cached = getattr(self, "_dev_table", None)
+        """(uids, index) over the devices alive at construction (lazy).
+
+        Built from the construction-time device list, not the cluster's
+        current one, so a device that fails before the first use is still
+        indexed like every eligible device that names it.
+        """
+        cached = self._dev_table
         if cached is None:
-            uids = [d.uid for d in self.cluster.alive_devices()]
+            uids = [d.uid for d in self._alive]
             cached = (uids, {uid: i for i, uid in enumerate(uids)})
             self._dev_table = cached
         return cached
@@ -351,9 +367,7 @@ class SchedulingContext:
         target the vectorized optimistic-cost-table kernel uses to compare
         a parent's devices against every child's candidate devices.
         """
-        cached = getattr(self, "_oct_vec", None)
-        if cached is None:
-            cached = self._oct_vec = {}
+        cached = self._oct_vec
         entry = cached.get(task_name)
         if entry is None:
             _uids, index = self._device_table()

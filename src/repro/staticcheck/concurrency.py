@@ -64,10 +64,12 @@ DEFAULT_WORKER_ROOTS = (
     "repro.runner.jobs.execute_timing",
 )
 
-#: Container methods that mutate their receiver.
+#: Container methods that mutate their receiver (``list``, ``dict``,
+#: ``set``, ``OrderedDict`` and ``deque`` alike).
 MUTATOR_METHODS = {
     "append", "add", "clear", "update", "pop", "popitem", "setdefault",
-    "extend", "insert", "remove", "discard",
+    "extend", "insert", "remove", "discard", "move_to_end", "sort",
+    "reverse", "appendleft", "popleft",
 }
 
 #: Exception names that are *never* acceptable at a worker raise site:

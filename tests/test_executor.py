@@ -199,7 +199,8 @@ class TestDynamicPolicy:
     def test_dynamic_completes(self, small_montage, hybrid_cluster):
         hybrid_cluster.reset()
         executor = WorkflowExecutor(
-            small_montage, hybrid_cluster, DynamicMctPolicy()
+            small_montage, hybrid_cluster,
+            DynamicMctPolicy(SchedulingContext(small_montage, hybrid_cluster)),
         )
         result = executor.run()
         assert result.success
@@ -208,7 +209,10 @@ class TestDynamicPolicy:
         hybrid_cluster.reset()
         executor = WorkflowExecutor(
             small_montage, hybrid_cluster,
-            DynamicMctPolicy(locality_aware=True),
+            DynamicMctPolicy(
+                SchedulingContext(small_montage, hybrid_cluster),
+                locality_aware=True,
+            ),
         )
         result = executor.run()
         assert result.success

@@ -63,7 +63,8 @@ class TestDynamicMctPolicy:
     def test_prefers_fast_devices(self, setup):
         wf, cluster, _plan = setup
         cluster.reset()
-        executor = WorkflowExecutor(wf, cluster, DynamicMctPolicy())
+        policy = DynamicMctPolicy(SchedulingContext(wf, cluster))
+        executor = WorkflowExecutor(wf, cluster, policy)
         result = executor.run()
         assert result.success
         # mProject tasks are strongly GPU-accelerable; with free choice the
@@ -77,13 +78,14 @@ class TestDynamicMctPolicy:
     def test_unranked_variant_completes(self, setup):
         wf, cluster, _plan = setup
         cluster.reset()
-        executor = WorkflowExecutor(wf, cluster, DynamicMctPolicy(ranked=False))
+        policy = DynamicMctPolicy(SchedulingContext(wf, cluster), ranked=False)
+        executor = WorkflowExecutor(wf, cluster, policy)
         assert executor.run().success
 
     def test_one_task_per_device_per_round(self, setup):
         wf, cluster, _plan = setup
         cluster.reset()
-        policy = DynamicMctPolicy()
+        policy = DynamicMctPolicy(SchedulingContext(wf, cluster))
         executor = WorkflowExecutor(wf, cluster, policy)
         policy.prepare(executor)
         for name, preds in executor.unfinished_preds.items():

@@ -163,3 +163,20 @@ class TestEstimateError:
         t = "mConcatFit"
         d = c1.eligible_devices(t)[0]
         assert c1.exec_time(t, d.uid) == c2.exec_time(t, d.uid)
+
+
+class TestPlatformReadOnce:
+    """A context reads the platform's runtime state only when built."""
+
+    def test_oct_after_a_device_fails_prices_the_build_time_devices(self):
+        from repro.schedulers.peft import optimistic_cost_table
+
+        wf = montage(n_images=5, seed=7)
+        cluster = presets.hybrid_cluster(
+            nodes=2, cores_per_node=2, gpus_per_node=1
+        )
+        ctx = SchedulingContext(wf, cluster)
+        fresh = optimistic_cost_table(SchedulingContext(wf, cluster))
+        cluster.device("n0:cpu-std#0").failed = True
+        # The first OCT call builds the device table after the failure.
+        assert optimistic_cost_table(ctx) == fresh

@@ -8,6 +8,8 @@ raise sites from the runtime's own ``FAILURE_TAXONOMY``.
 import os
 import textwrap
 
+import pytest
+
 from repro.staticcheck.callgraph import build_callgraph
 from repro.staticcheck.concurrency import (
     check_concurrency,
@@ -64,6 +66,27 @@ class TestWorkerMutation:
         """})
         fs = check_worker_mutation(g, worker_roots=["m.execute_payload"])
         assert checks(fs) == {"worker-global-mutation"}
+
+    @pytest.mark.parametrize("call", [
+        "_MEMO.move_to_end(p)",
+        "_ORDER.sort()",
+        "_ORDER.reverse()",
+        "_QUEUE.appendleft(p)",
+        "_QUEUE.popleft()",
+    ])
+    def test_reordering_and_deque_mutators_fire(self, tmp_path, call):
+        g = graph_for(tmp_path, {"m.py": f"""
+            import collections
+            _MEMO = collections.OrderedDict()
+            _ORDER = []
+            _QUEUE = collections.deque()
+            def execute_payload(p):
+                {call}
+        """})
+        fs = check_worker_mutation(g, worker_roots=["m.execute_payload"])
+        assert checks(fs) == {"worker-global-mutation"}
+        method = call.split(".")[1].split("(")[0]
+        assert f"(.{method}())" in fs[0].message
 
     def test_class_attribute_store_fires(self, tmp_path):
         g = graph_for(tmp_path, {"m.py": """
@@ -385,7 +408,8 @@ class TestShippedWorkerCodeIsClean:
     def test_workflow_memo_is_deliberately_allowlisted(self):
         # Without the allowlist the memo mutations ARE flagged — proving
         # the check sees them and the entries are live, deliberate waivers
-        # (the plan memo's entry included).
+        # (the plan, platform and context memos' entries included, and
+        # the plan memo's LRU reorder in _recall_plan).
         import repro
 
         src = os.path.dirname(os.path.abspath(repro.__file__))
@@ -393,3 +417,9 @@ class TestShippedWorkerCodeIsClean:
         messages = "\n".join(f.message for f in check_worker_mutation(g))
         assert "_workflow_memo" in messages
         assert "_plan_memo" in messages
+        assert "_recall_plan mutates module-level container " \
+            "'_plan_memo' (.move_to_end())" in messages
+        assert "_platform_for mutates module global " \
+            "'_platform_memo'" in messages
+        assert "_remember_context mutates module global " \
+            "'_context_memo'" in messages
