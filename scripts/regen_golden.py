@@ -1,5 +1,9 @@
 #!/usr/bin/env python
-"""Regenerate the golden-regression fixture (tests/golden/makespans.json).
+"""Regenerate the golden-regression fixtures under tests/golden/.
+
+``makespans.json`` pins the static suite x scheduler grid's makespans;
+``runtime_records.json`` pins the full records of the runtime-mode grid
+(dynamic and adaptive HDWS, without and with device failures).
 
 Run after an *intentional* change to scheduler numerics::
 
@@ -18,24 +22,35 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.runner.campaign import (  # noqa: E402
+    GOLDEN_DEVICE_MTBF,
     GOLDEN_NOISE_CV,
+    GOLDEN_RUNTIME_MODES,
     GOLDEN_SCHEDULERS,
     GOLDEN_SEED,
     GOLDEN_SIZE,
     golden_jobs,
     golden_makespans,
+    golden_runtime_jobs,
+    golden_runtime_records,
 )
 from repro.staticcheck import precheck_job  # noqa: E402
 
-FIXTURE = os.path.join(
-    os.path.dirname(__file__), "..", "tests", "golden", "makespans.json"
-)
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
+
+
+def _write(name: str, doc: dict) -> str:
+    path = os.path.normpath(os.path.join(GOLDEN_DIR, name))
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def main() -> int:
     # Never pin numbers from a statically unsound cell: model-check and
     # schedule-audit every cell before regenerating anything.
-    jobs = golden_jobs()
+    jobs = golden_jobs() + golden_runtime_jobs()
     unsound = 0
     for job in jobs:
         report = precheck_job(job)
@@ -64,12 +79,24 @@ def main() -> int:
         "schedulers": list(GOLDEN_SCHEDULERS),
         "makespans": golden_makespans(),
     }
-    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = _write("makespans.json", doc)
     n = sum(len(v) for v in doc["makespans"].values())
-    print(f"wrote {n} golden makespans to {os.path.normpath(FIXTURE)}")
+    print(f"wrote {n} golden makespans to {path}")
+
+    runtime = {
+        "_comment": (
+            "Pinned records of the runtime-mode golden grid; regenerate "
+            "with scripts/regen_golden.py after intentional numeric changes."
+        ),
+        "size": GOLDEN_SIZE,
+        "seed": GOLDEN_SEED,
+        "noise_cv": GOLDEN_NOISE_CV,
+        "device_mtbf": GOLDEN_DEVICE_MTBF,
+        "modes": GOLDEN_RUNTIME_MODES,
+        "records": golden_runtime_records(),
+    }
+    path = _write("runtime_records.json", runtime)
+    print(f"wrote {len(runtime['records'])} golden runtime records to {path}")
     return 0
 
 

@@ -31,7 +31,8 @@ class AdaptivePolicy(ExecutionPolicy):
 
     The initial plan and every re-plan price placements through
     ``context``, built for the run's workflow and cluster (estimate
-    error included).  The policy only reads it.
+    error included).  The policy only reads it: its ranks and its
+    optimistic cost table are the context's, shared with the planner.
     """
 
     def __init__(
@@ -52,6 +53,7 @@ class AdaptivePolicy(ExecutionPolicy):
         self.steals = 0
         self._context = context
         self._plan: Optional[Schedule] = None
+        self._scale = 1e-9  # the drift test's: the plan's makespan, floored
         self._queues: Dict[str, List[str]] = {}
         self._dvfs: Dict[str, str] = {}
         self._oct: Optional[Dict[str, Dict[str, float]]] = None
@@ -68,6 +70,7 @@ class AdaptivePolicy(ExecutionPolicy):
     def prepare(self, executor) -> None:
         """Compute the initial full plan."""
         self._plan = self.planner.schedule(self._context)
+        self._scale = max(self._plan.makespan, 1e-9)
         self._dvfs = dict(self._plan.dvfs_choice)
         self._ranks = self._context.upward_ranks(use_best=True)
         self._topo_index = {
@@ -135,11 +138,12 @@ class AdaptivePolicy(ExecutionPolicy):
             d for d in executor.free_devices() if d.uid not in used_devices
         ]
         for task in orphans:
+            row = self._context.exec_row(task)
             best = None
             for device in idle:
-                if not executor.eligible(task, device):
+                est = row.get(device.uid)
+                if est is None:
                     continue
-                est = self._context.exec_time(task, device.uid)
                 if best is None or est < best[0]:
                     best = (est, device)
             if best is not None:
@@ -173,16 +177,14 @@ class AdaptivePolicy(ExecutionPolicy):
         for task in stealable:
             if not idle:
                 break
-            planned_uid = planned_on[task]
-            try:
-                planned_est = ctx.exec_time(task, planned_uid)
-            except Exception:  # planned device no longer priced (failed)
-                planned_est = float("inf")
+            row = ctx.exec_row(task)
+            # A planned device the context does not price steals freely.
+            planned_est = row.get(planned_on[task], float("inf"))
             best = None
             for device in idle:
-                if not executor.eligible(task, device):
+                est = row.get(device.uid)
+                if est is None:
                     continue
-                est = ctx.exec_time(task, device.uid)
                 if est <= planned_est * self.steal_tolerance:
                     if best is None or est < best[0]:
                         best = (est, device)
@@ -214,8 +216,7 @@ class AdaptivePolicy(ExecutionPolicy):
         if planned is None or self.replans >= self.max_replans:
             return
         actual = executor.records[task_name].finish
-        scale = max(self._plan.makespan, 1e-9)
-        if abs(actual - planned.finish) > self.drift_threshold * scale:
+        if abs(actual - planned.finish) > self.drift_threshold * self._scale:
             self._replan(executor)
 
     def on_device_failure(self, executor, device: Device) -> None:
@@ -336,9 +337,9 @@ class AdaptivePolicy(ExecutionPolicy):
 
         # Keep the original DVFS choices for unstarted tasks if the planner
         # recorded any (HDWS itself does not).
-        new_plan = seeded
-        self._plan = new_plan
-        self._rebuild_queues(new_plan, skip_done_running=executor)
+        self._plan = seeded
+        self._scale = max(seeded.makespan, 1e-9)
+        self._rebuild_queues(seeded, skip_done_running=executor)
 
     def _expected_finish(self, executor, rec, started: float) -> float:
         """Best guess at a running task's finish for seeding the re-plan."""

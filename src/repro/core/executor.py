@@ -469,15 +469,10 @@ class WorkflowExecutor:
         self.records[name].clones_launched += 1
 
         arrival = self.now
-        task = self.workflow.tasks[name]
-        files = self.workflow.files
+        catalog = self.catalog
         store = self.stores[node]
-        for fname in task.inputs:
-            f = files[fname]
-            decision = choose_source(
-                self.catalog, self.cluster, fname, f.size_mb, node
-            )
-            if decision.is_local:
+        for fname, size_mb in self.workflow.io_sizes(name)[0]:
+            if catalog.has(fname, node):
                 store.touch(fname)
                 if store.has(fname):
                     store.pin(fname)
@@ -487,27 +482,30 @@ class WorkflowExecutor:
             # *arrives* — registration and storage happen then, never at
             # reservation time (a sibling clone launched in between must
             # not see the file as already present).  A transfer already on
-            # the wire for this (node, file) is joined, not duplicated.
+            # the wire for this (node, file) is joined, not duplicated;
+            # only a new reservation needs a source.
             end = self._inflight.get((node, fname))
             if end is None:
-                if decision.source == ReplicaCatalog.STORAGE:
+                source = choose_source(
+                    catalog, self.cluster, fname, size_mb, node
+                ).source
+                if source == ReplicaCatalog.STORAGE:
                     _s, end = self.cluster.reserve_staging(
-                        node, self.now, f.size_mb
+                        node, self.now, size_mb
                     )
                 else:
                     _s, end = self.cluster.reserve_transfer(
-                        decision.source, node, self.now, f.size_mb
+                        source, node, self.now, size_mb
                     )
                 self._inflight[(node, fname)] = end
                 self.trace.record(
                     self.now, "transfer.start", file=fname,
-                    src=decision.source, dst=node, size_mb=f.size_mb,
-                    arrives=end,
+                    src=source, dst=node, size_mb=size_mb, arrives=end,
                 )
             arrival = max(arrival, end)
             self.sim.schedule_at(
                 end, self._on_transfer_arrival, name, device.uid, node,
-                fname, f.size_mb, priority=0,
+                fname, size_mb, priority=0,
             )
 
         self.trace.record(
@@ -636,13 +634,12 @@ class WorkflowExecutor:
         self._clones.pop(name, None)
 
         node = device.node.name
-        for fname in self.workflow.tasks[name].outputs:
-            f = self.workflow.files[fname]
-            self._store_file(node, fname, f.size_mb)
+        for fname, size_mb in self.workflow.io_sizes(name)[1]:
+            self._store_file(node, fname, size_mb)
             if self.recovery.archive_outputs:
                 self.catalog.register(fname, ReplicaCatalog.STORAGE)
                 self.trace.record(
-                    self.now, "archive", file=fname, size_mb=f.size_mb
+                    self.now, "archive", file=fname, size_mb=size_mb
                 )
 
         for child in self.workflow.successors(name):

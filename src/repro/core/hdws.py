@@ -133,16 +133,20 @@ class HdwsScheduler(Scheduler):
                 pressure[cls] = load / avg_load
         return pressure
 
-    def _benefit(self, context: SchedulingContext, name: str, device: Device) -> float:
+    def _cpu_best(self, context: SchedulingContext, name: str) -> float:
+        """Best CPU time of the task (inf when no CPU may run it)."""
+        row = context.exec_row(name)
+        return min((row[d.uid] for d in context.eligible_devices(name)
+                    if d.device_class == DeviceClass.CPU), default=float("inf"))
+
+    def _benefit(
+        self, context: SchedulingContext, name: str, device: Device,
+        cpu_best: Optional[float] = None,
+    ) -> float:
         """Accelerator benefit: best CPU time over this device's time."""
-        cpu_times = [
-            context.exec_time(name, d.uid)
-            for d in context.eligible_devices(name)
-            if d.device_class == DeviceClass.CPU
-        ]
-        if not cpu_times:
-            return float("inf")  # CPU-ineligible: accelerator is mandatory
-        return min(cpu_times) / max(context.exec_time(name, device.uid), 1e-12)
+        if cpu_best is None:
+            cpu_best = self._cpu_best(context, name)
+        return cpu_best / max(context.exec_time(name, device.uid), 1e-12)
 
     # ------------------------------------------------------------------ #
     # candidate generation and scoring                                   #
@@ -201,12 +205,23 @@ class HdwsScheduler(Scheduler):
         out: List[Tuple] = []
         oct_row = oct_table[name] if oct_table is not None else None
         devices, starts, finishes = eft_scan(context, schedule, name)
+        # Remote bytes depend only on the node, the CPU best only on the
+        # task (and matters only on a contended accelerator).
+        remote_by_node: Dict[str, float] = {}
+        cpu_best = None
         for device, start, finish in zip(devices, starts, finishes):
             oct_term = oct_row[device.uid] if oct_row is not None else 0.0
-            remote_mb = self._remote_bytes(
-                context, name, device, replica_node
+            node = device.node.name
+            remote_mb = remote_by_node.get(node)
+            if remote_mb is None:
+                remote_mb = remote_by_node[node] = self._remote_bytes(
+                    context, name, node, replica_node
+                )
+            if cpu_best is None and device.device_class in contended:
+                cpu_best = self._cpu_best(context, name)
+            scarcity_key = self._scarcity_key(
+                context, name, device, contended, cpu_best
             )
-            scarcity_key = self._scarcity_key(context, name, device, contended)
             out.append(
                 (device, start, finish, finish + oct_term, remote_mb,
                  scarcity_key)
@@ -219,6 +234,7 @@ class HdwsScheduler(Scheduler):
         name: str,
         device: Device,
         pressure: Dict[DeviceClass, float],
+        cpu_best: Optional[float] = None,
     ) -> float:
         """Tie-break key: higher = worse use of a contended accelerator.
 
@@ -230,7 +246,7 @@ class HdwsScheduler(Scheduler):
         cls = device.device_class
         if cls == DeviceClass.CPU or cls not in pressure:
             return 0.0
-        benefit = self._benefit(context, name, device)
+        benefit = self._benefit(context, name, device, cpu_best)
         if benefit >= self.scarcity_benefit_threshold:
             return 0.0
         return pressure[cls] / max(benefit, 1e-9)
@@ -274,12 +290,11 @@ class HdwsScheduler(Scheduler):
         self,
         context: SchedulingContext,
         name: str,
-        device: Device,
+        node: str,
         replica_node: Dict[str, Optional[str]],
     ) -> float:
-        """MB this placement would pull from off-node sources."""
+        """MB a placement on ``node`` would pull from off-node sources."""
         wf = context.workflow
-        node = device.node.name
         total = 0.0
         for fname in wf.tasks[name].inputs:
             f = wf.files[fname]

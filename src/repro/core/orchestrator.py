@@ -309,11 +309,14 @@ class Orchestrator:
             return StaticPolicy(plan), plan, None
         scheduler = None if cfg.mode == "dynamic" else cfg.resolve_scheduler()
         if context is None:
+            rng = None  # a context reads it only to draw estimate errors
+            if cfg.estimate_error_cv > 0:
+                rng = np.random.default_rng(cfg.seed + 7919)
             context = SchedulingContext(
                 workflow,
                 cluster,
                 estimate_error_cv=cfg.estimate_error_cv,
-                rng=np.random.default_rng(cfg.seed + 7919),
+                rng=rng,
                 release_times=cfg.release_times,
             )
         if cfg.mode == "dynamic":

@@ -223,8 +223,13 @@ class DynamicMctPolicy(ExecutionPolicy):
             self._ranks = {n: 0.0 for n in executor.workflow.tasks}
 
     def select(self, executor) -> List[Decision]:
-        """Greedy match of ready tasks to free devices."""
-        free = {d.uid: d for d in executor.free_devices()}
+        """Greedy match of ready tasks to free devices.
+
+        Free devices are alive, so the context's estimate row decides
+        eligibility.  Staging is priced once per (task, node): the
+        catalog cannot change inside a call.
+        """
+        free = sorted((d.uid, d) for d in executor.free_devices())
         if not free:
             return []
         decisions: List[Decision] = []
@@ -234,30 +239,36 @@ class DynamicMctPolicy(ExecutionPolicy):
         for name in order:
             if not free:
                 break
+            row = self._context.exec_row(name)
+            staging: Dict[str, float] = {}
             best = None
-            for uid, device in sorted(free.items()):
-                if not executor.eligible(name, device):
+            for i, (uid, device) in enumerate(free):
+                cost = row.get(uid)
+                if cost is None:
                     continue
-                cost = self._context.exec_time(name, uid)
                 if self.locality_aware:
-                    cost += self._staging_cost(executor, name, device)
+                    node = device.node.name
+                    node_cost = staging.get(node)
+                    if node_cost is None:
+                        node_cost = staging[node] = self._staging_cost(
+                            executor, name, node
+                        )
+                    cost += node_cost
                 if best is None or cost < best[0] - 1e-15:
-                    best = (cost, uid, device)
+                    best = (cost, i, device)
             if best is not None:
-                _cost, uid, device = best
+                _cost, i, device = best
                 decisions.append((name, device, None))
-                del free[uid]
+                del free[i]
         return decisions
 
-    def _staging_cost(self, executor, name: str, device: Device) -> float:
-        """Estimated cost of pulling the task's inputs to the device."""
-        node = device.node.name
+    def _staging_cost(self, executor, name: str, node: str) -> float:
+        """Estimated cost of pulling the task's inputs to ``node``."""
         total = 0.0
-        for fname in executor.workflow.tasks[name].inputs:
-            f = executor.workflow.files[fname]
+        for fname, size_mb in executor.workflow.io_sizes(name)[0]:
             try:
                 total += choose_source(
-                    executor.catalog, executor.cluster, fname, f.size_mb, node
+                    executor.catalog, executor.cluster, fname, size_mb, node
                 ).cost
             except LookupError:
                 # Not produced yet/lost; regeneration is the executor's job.

@@ -13,8 +13,9 @@ The model maps (task, device spec) to a runtime.  Three ingredients:
   heterogeneity experiments (F3).
 * **Noise** — actual runtimes are the estimate times a lognormal factor;
   schedulers see the deterministic estimate, the executor samples the noisy
-  truth.  An additional *estimate error* factor models systematically wrong
-  profiling (experiment F4).
+  truth.  Systematically wrong profiling (experiment F4) is modelled by
+  the estimates schedulers see
+  (:class:`~repro.schedulers.base.SchedulingContext`), not here.
 """
 
 from __future__ import annotations
@@ -46,16 +47,16 @@ class ExecutionModel:
         overheads: Per-device-class fixed launch overhead (seconds).
         noise_cv: Coefficient of variation of the lognormal runtime noise
             applied by :meth:`sample`; 0 disables noise.
-        estimate_error_cv: Coefficient of variation of a *per-task*
-            multiplicative error applied to estimates relative to truth;
-            models bad profiling for the robustness experiments.
     """
 
     overheads: Dict[DeviceClass, float] = field(
         default_factory=lambda: dict(DEFAULT_OVERHEADS)
     )
     noise_cv: float = 0.0
-    estimate_error_cv: float = 0.0
+    #: ``(cv, mu, sigma)`` of the last noise level sampled.
+    _noise: tuple = field(
+        default=(None, 0.0, 0.0), init=False, repr=False, compare=False
+    )
 
     def eligible(self, task, spec: DeviceSpec) -> bool:
         """Whether ``task`` may run on devices of ``spec``'s class."""
@@ -97,26 +98,13 @@ class ExecutionModel:
     ) -> float:
         """Actual (noisy) runtime drawn for one execution."""
         base = self.estimate(task, spec, dvfs)
-        if self.noise_cv <= 0.0:
+        cv = self.noise_cv
+        if cv <= 0.0:
             return base
-        return base * float(_lognormal_factor(rng, self.noise_cv))
-
-    def perturbed_estimate(
-        self,
-        task,
-        spec: DeviceSpec,
-        rng: np.random.Generator,
-        dvfs: Optional[DvfsState] = None,
-    ) -> float:
-        """Estimate as a (mis)profiler would report it.
-
-        Applies the ``estimate_error_cv`` multiplicative error; with zero
-        error this equals :meth:`estimate`.
-        """
-        base = self.estimate(task, spec, dvfs)
-        if self.estimate_error_cv <= 0.0:
-            return base
-        return base * float(_lognormal_factor(rng, self.estimate_error_cv))
+        noise = self._noise
+        if noise[0] != cv:
+            noise = self._noise = (cv,) + _lognormal_params(cv)
+        return base * float(rng.lognormal(mean=noise[1], sigma=noise[2]))
 
     def best_estimate(self, task, specs) -> float:
         """Best (minimum) estimate over an iterable of eligible specs."""
@@ -133,8 +121,7 @@ class ExecutionModel:
         return float(np.mean(times))
 
 
-def _lognormal_factor(rng: np.random.Generator, cv: float) -> float:
-    """A unit-mean lognormal multiplier with coefficient of variation cv."""
+def _lognormal_params(cv: float) -> tuple:
+    """``(mu, sigma)`` of the unit-mean lognormal with variation ``cv``."""
     sigma2 = np.log(1.0 + cv * cv)
-    mu = -0.5 * sigma2
-    return float(rng.lognormal(mean=mu, sigma=np.sqrt(sigma2)))
+    return -0.5 * sigma2, np.sqrt(sigma2)

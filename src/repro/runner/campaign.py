@@ -139,6 +139,44 @@ def golden_jobs() -> List[object]:
     return jobs
 
 
+#: The runtime-mode golden grid: each golden suite's HDWS cell in every
+#: mode that decides during the run, fault-free and under permanent
+#: device failures that lose local data (so outputs regenerate).
+GOLDEN_RUNTIME_MODES = {
+    "dynamic": {"mode": "dynamic", "locality_aware": True},
+    "dynamic-nolocality": {"mode": "dynamic", "locality_aware": False},
+    "adaptive": {"mode": "adaptive"},
+}
+GOLDEN_DEVICE_MTBF = 4.0
+
+
+def golden_runtime_jobs() -> List[object]:
+    """The pinned runtime-mode cells (see tests/golden/)."""
+    from repro.experiments.common import make_job
+    from repro.faults.models import FaultModel
+    from repro.runner.specs import factory_spec
+
+    faults = {"clean": {}, "devfail": {"fault_model": factory_spec(
+        FaultModel, device_mtbf=GOLDEN_DEVICE_MTBF, device_data_loss=True
+    )}}
+    return [
+        make_job(cell.workflow, cell.cluster, scheduler="hdws",
+                 seed=GOLDEN_SEED, noise_cv=GOLDEN_NOISE_CV,
+                 label=f"{cell.label}:{mode}:{tag}", **config, **fault)
+        for cell in golden_jobs() if cell.scheduler == "hdws"
+        for mode, config in GOLDEN_RUNTIME_MODES.items()
+        for tag, fault in faults.items()
+    ]
+
+
+def golden_runtime_records() -> Dict[str, Dict[str, object]]:
+    """label -> full SimRecord dict for the runtime-mode golden grid."""
+    from repro.experiments.common import run_sims
+
+    jobs = golden_runtime_jobs()
+    return {job.label: rec.to_dict() for job, rec in zip(jobs, run_sims(jobs))}
+
+
 def golden_makespans() -> Dict[str, Dict[str, float]]:
     """suite -> scheduler -> makespan for the pinned golden grid."""
     from repro.experiments.common import run_sims, suite_workflows

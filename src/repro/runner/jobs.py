@@ -44,9 +44,12 @@ is a pure function of the planning inputs: it reads the platform's
 runtime state only when built and its lazy tables are content-equal
 whichever scheduler fills them, so the worker keeps the most recent
 context and hands it to ``run_workflow(context=)`` for the next cell
-with the same inputs, in any mode.  Cells with estimate error draw
-their context from the run seed, and bypass it.  Each memo holds one
-entry, so a process retains at most one platform and one context.
+with the same inputs, in any mode.  A shared context also shares the
+tables it fills once: its optimistic cost table and its upward ranks,
+so a row's HDWS and PEFT cells compute one OCT, and its HEFT, CPOP and
+dynamic cells one rank table.  Cells with estimate error draw their
+context from the run seed, and bypass it.  Each memo holds one entry,
+so a process retains at most one platform and one context.
 
 Payloads may carry three out-of-band keys the cache key never sees
 (they are runner policy, not cell content): ``attempt`` (1-based
@@ -135,9 +138,13 @@ class TimingJob:
     kind = "timing"
 
     def payload(self) -> Dict[str, Any]:
+        """Picklable dict handed to the pool worker (see SimJob.payload)."""
+        from repro.runner.hashing import workflow_fingerprint
+
         return {
             "kind": self.kind,
             "workflow": self.workflow,
+            "workflow_fp": workflow_fingerprint(self.workflow),
             "cluster": self.cluster,
             "scheduler": self.scheduler,
             "config": self.config,
@@ -376,7 +383,7 @@ def execute_timing(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.schedulers.base import SchedulingContext
 
     try:
-        wf = _workflow_for(payload["workflow"])
+        wf = _workflow_for(payload["workflow"], payload.get("workflow_fp"))
         cluster = specs.build(payload["cluster"])
         scheduler = _build_scheduler(payload["scheduler"])
         if isinstance(scheduler, str):

@@ -143,6 +143,10 @@ class SchedulingContext:
         self._rank_arrays_cache: Optional[tuple] = None
         self._dev_table: Optional[tuple] = None
         self._oct_vec: Dict[str, tuple] = {}
+        # Whole-workflow tables, filled by the first caller: upward ranks
+        # per variant and repro.schedulers.peft.optimistic_cost_table.
+        self._upward: Dict[bool, Dict[str, float]] = {}
+        self._oct_table: Optional[Dict[str, Dict[str, float]]] = None
 
         # Cluster-average communication figures for rank computations.
         links = cluster.interconnect.links
@@ -161,6 +165,14 @@ class SchedulingContext:
     def eligible_devices(self, task_name: str) -> List[Device]:
         """Devices this task may run on (affinity, memory and liveness)."""
         return self._eligible[task_name]
+
+    def exec_row(self, task_name: str) -> Dict[str, float]:
+        """Estimated runtime per eligible device uid (shared; read-only).
+
+        For a device alive at construction and now, it is in the row
+        exactly when ``WorkflowExecutor.eligible`` admits it (affinity, memory).
+        """
+        return self._exec[task_name]
 
     def exec_time(self, task_name: str, device_uid: str) -> float:
         """Estimated runtime of a task on a device."""
@@ -303,12 +315,18 @@ class SchedulingContext:
 
         ``use_best=True`` replaces the mean execution time with the best
         over eligible devices (the heterogeneity-aware variant HDWS uses).
-        Computed by the vectorized kernel unless reference mode is active
-        (see :mod:`repro.schedulers._reference`).
+        Computed once per variant by the vectorized kernel, and shared by
+        every scheduler and policy that plans from this context (callers
+        must not mutate it); under reference mode (see
+        :mod:`repro.schedulers._reference`) the reference kernel computes
+        it afresh on every call.
         """
         if _reference.reference_active():
             return _reference.upward_ranks(self, use_best)
-        return _vec_upward_ranks(self, use_best)
+        ranks = self._upward.get(use_best)
+        if ranks is None:
+            ranks = self._upward[use_best] = _vec_upward_ranks(self, use_best)
+        return ranks
 
     def downward_ranks(self) -> Dict[str, float]:
         """Classical downward ranks (distance from the entry nodes)."""

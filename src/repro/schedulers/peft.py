@@ -25,12 +25,16 @@ def optimistic_cost_table(context: SchedulingContext) -> Dict[str, Dict[str, flo
 
     ``OCT[t][d]`` is the optimistic remaining path length below ``t`` if it
     runs on ``d`` and every descendant gets its best device.  Exit tasks
-    have an all-zero row.  Shared by PEFT and by HDWS's lookahead term.
-    Computed by the vectorized kernel unless reference mode is active.
+    have an all-zero row.  Shared by PEFT and HDWS's lookahead term: the
+    vectorized kernel fills it once per context (callers must not mutate
+    it); under reference mode the reference kernel recomputes it per call.
     """
     if _reference.reference_active():
         return _reference.optimistic_cost_table(context)
-    return _vec_optimistic_cost_table(context)
+    table = context._oct_table
+    if table is None:
+        table = context._oct_table = _vec_optimistic_cost_table(context)
+    return table
 
 
 def _vec_optimistic_cost_table(

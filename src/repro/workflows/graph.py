@@ -39,6 +39,7 @@ class Workflow:
         self._pred_cache: Dict[str, List[str]] = {}
         self._succ_cache: Dict[str, List[str]] = {}
         self._topo_cache: Optional[List[str]] = None
+        self._io_cache: Dict[str, tuple] = {}  # see io_sizes
         # Set by validate_workflow after a clean pass; cleared on mutation
         # so repeated runs of the same workflow validate once.
         self._validated_ok = False
@@ -49,6 +50,7 @@ class Workflow:
         self._pred_cache = {}
         self._succ_cache = {}
         self._topo_cache = None
+        self._io_cache = {}
         self._validated_ok = False
 
     # ---------------------------------------------------------------- #
@@ -154,6 +156,20 @@ class Workflow:
         if cached is None:
             cached = sorted(self.graph().successors(task_name))
             self._succ_cache[task_name] = cached
+        return cached
+
+    def io_sizes(self, task_name: str) -> tuple:
+        """``(inputs, outputs)`` of the task as ``(file, size_mb)`` tuples.
+
+        In the task's own file order; cached, so callers must not mutate.
+        """
+        cached = self._io_cache.get(task_name)
+        if cached is None:
+            task, files = self.tasks[task_name], self.files
+            cached = self._io_cache[task_name] = tuple(
+                tuple((f, files[f].size_mb) for f in names)
+                for names in (task.inputs, task.outputs)
+            )
         return cached
 
     def edge_data_mb(self, src: str, dst: str) -> float:

@@ -210,3 +210,33 @@ def test_reference_mode_is_reentrant_and_restores():
             assert _reference.reference_active()
         assert _reference.reference_active()
     assert not _reference.reference_active()
+
+
+def test_reference_mode_bypasses_context_tables(monkeypatch):
+    """Under reference mode a context hands out the reference kernels' tables.
+
+    The context fills its OCT and upward ranks once with the vectorized
+    kernels; reference mode must neither read nor fill that memo, or the
+    harness would compare the fast tables with themselves.
+    """
+    from repro.schedulers.peft import optimistic_cost_table
+
+    ctx = SchedulingContext(
+        montage(size=12, seed=3),
+        presets.hybrid_cluster(nodes=2, cores_per_node=2, gpus_per_node=1),
+    )
+    fast_oct = optimistic_cost_table(ctx)
+    fast_ranks = {b: ctx.upward_ranks(b) for b in (False, True)}
+    with _reference.reference_mode():
+        ref_oct = optimistic_cost_table(ctx)
+        ref_ranks = {b: ctx.upward_ranks(b) for b in (False, True)}
+        assert ref_oct is not fast_oct and ref_oct == fast_oct
+        for b in (False, True):
+            assert ref_ranks[b] is not fast_ranks[b]
+            assert ref_ranks[b] == fast_ranks[b]
+        monkeypatch.setattr(_reference, "optimistic_cost_table", lambda c: "oct")
+        monkeypatch.setattr(_reference, "upward_ranks", lambda c, b=False: b)
+        assert optimistic_cost_table(ctx) == "oct"
+        assert ctx.upward_ranks(True) is True
+    assert optimistic_cost_table(ctx) is fast_oct
+    assert ctx.upward_ranks(True) is fast_ranks[True]

@@ -111,16 +111,14 @@ class TestSampling:
             model.sample(t, cat["cpu-std"], rng) > 0 for _ in range(200)
         )
 
-    def test_perturbed_estimate_noop_without_error(self, cat):
-        model = ExecutionModel(estimate_error_cv=0.0)
+    def test_noise_level_change_between_samples(self, cat):
+        """One model re-tuned between runs draws as fresh models would."""
         t = cpu_task("t", 100.0)
-        rng = np.random.default_rng(3)
-        assert model.perturbed_estimate(t, cat["cpu-std"], rng) == 2.0
-
-    def test_perturbed_estimate_varies_with_error(self, cat):
-        model = ExecutionModel(estimate_error_cv=1.0)
-        t = cpu_task("t", 100.0)
-        rng = np.random.default_rng(4)
-        draws = {model.perturbed_estimate(t, cat["cpu-std"], rng)
-                 for _ in range(5)}
-        assert len(draws) == 5
+        reused = ExecutionModel()
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        for cv in (0.1, 0.5, 0.1, 2.0):
+            reused.noise_cv = cv
+            fresh = ExecutionModel(noise_cv=cv)
+            assert reused.sample(t, cat["cpu-std"], rng_a) == fresh.sample(
+                t, cat["cpu-std"], rng_b
+            )

@@ -287,6 +287,31 @@ def test_timing_cells_never_consult_the_platform_or_context_memo(
     assert jobs._platform_memo is None and jobs._context_memo is None
 
 
+def test_pickled_timing_cells_decode_their_workflow_once(monkeypatch):
+    # Pickling gives every payload copy a fresh document identity; the
+    # fingerprint still names the one document they share.
+    import pickle
+
+    from repro.workflows import serialize
+
+    monkeypatch.setattr(jobs, "_workflow_memo", {})
+    decodes = []
+    original = serialize.workflow_from_dict
+
+    def counting(doc):
+        decodes.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(serialize, "workflow_from_dict", counting)
+    job = make_timing_job(montage(n_images=3, seed=1), CLUSTER, "heft")
+    payload = job.payload()
+    for _ in range(4):
+        record = jobs.execute_timing(pickle.loads(pickle.dumps(payload)))
+        assert record["n_tasks"] > 0
+    assert len(decodes) == 1
+    assert list(jobs._workflow_memo) == [payload["workflow_fp"]]
+
+
 # --------------------------------------------------------------------- #
 # the orchestrator's context= argument                                  #
 # --------------------------------------------------------------------- #

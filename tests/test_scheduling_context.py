@@ -180,3 +180,53 @@ class TestPlatformReadOnce:
         cluster.device("n0:cpu-std#0").failed = True
         # The first OCT call builds the device table after the failure.
         assert optimistic_cost_table(ctx) == fresh
+
+
+class TestContextTables:
+    """OCT and upward ranks are computed once per context and shared."""
+
+    def test_memoized_tables_equal_fresh_computations(
+        self, small_montage, hybrid_cluster
+    ):
+        from repro.core.hdws import HdwsScheduler
+        from repro.schedulers.base import _vec_upward_ranks
+        from repro.schedulers.peft import (
+            PeftScheduler,
+            _vec_optimistic_cost_table,
+            optimistic_cost_table,
+        )
+
+        ctx = SchedulingContext(small_montage, hybrid_cluster)
+        # Planning from the context fills the tables the way a grid row does.
+        HdwsScheduler().schedule(ctx)
+        PeftScheduler().schedule(ctx)
+        table = optimistic_cost_table(ctx)
+        assert optimistic_cost_table(ctx) is table
+        assert table == _vec_optimistic_cost_table(
+            SchedulingContext(small_montage, hybrid_cluster)
+        )
+        for use_best in (False, True):
+            ranks = ctx.upward_ranks(use_best)
+            assert ctx.upward_ranks(use_best) is ranks
+            assert ranks == _vec_upward_ranks(
+                SchedulingContext(small_montage, hybrid_cluster), use_best
+            )
+        assert ctx.upward_ranks(True) != ctx.upward_ranks(False)
+
+    def test_exec_row_agrees_with_executor_eligibility(
+        self, small_montage, hybrid_cluster
+    ):
+        from repro.core.executor import WorkflowExecutor
+        from repro.core.policies import DynamicMctPolicy
+
+        hybrid_cluster.reset()
+        ctx = SchedulingContext(small_montage, hybrid_cluster)
+        executor = WorkflowExecutor(
+            small_montage, hybrid_cluster, DynamicMctPolicy(ctx)
+        )
+        for name in small_montage.tasks:
+            row = ctx.exec_row(name)
+            for device in hybrid_cluster.devices:
+                assert (device.uid in row) == executor.eligible(name, device)
+                if device.uid in row:
+                    assert row[device.uid] == ctx.exec_time(name, device.uid)
