@@ -10,8 +10,8 @@
 #   3. the deep whole-program pass over src/repro — interprocedural
 #      determinism taint from the campaign-entry roots, pickle-boundary
 #      safety of worker payloads, concurrency/lifecycle hazards — clean
-#      modulo the allowlist and the committed burn-down baseline, with
-#      JSON + SARIF findings reports left in bench_out/ for CI upload;
+#      modulo the allowlist, with JSON + SARIF findings reports left in
+#      bench_out/ for CI upload;
 #   4. the model checker + schedule audit over every golden suite x
 #      scheduler cell — the pinned regression grid must be statically
 #      sound, not merely numerically stable;

@@ -51,6 +51,7 @@ from repro.analysis.gantt import ascii_gantt
 from repro.experiments import REGISTRY as EXPERIMENTS
 from repro.platform import presets
 from repro.schedulers import REGISTRY as SCHEDULERS
+from repro.staticcheck import lint as staticcheck_lint
 from repro.workflows.generators import ALL_GENERATORS, by_name
 from repro.workflows.serialize import workflow_to_json
 
@@ -440,26 +441,6 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_lint(args) -> int:
-    """Determinism lint over source trees; nonzero exit on findings."""
-    from repro.staticcheck.lint import main as lint_main
-
-    argv = list(args.paths)
-    if args.allowlist:
-        argv += ["--allowlist", args.allowlist]
-    if args.deep:
-        argv += ["--deep"]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.json_out:
-        argv += ["--json", args.json_out]
-    if args.sarif_out:
-        argv += ["--sarif", args.sarif_out]
-    if args.prune:
-        argv += ["--prune"]
-    return lint_main(argv)
-
-
 def cmd_ensemble(args) -> int:
     """Run a small ensemble under every sharing discipline."""
     from repro.core.ensemble import DISCIPLINES, EnsembleMember, EnsembleRunner
@@ -629,28 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint", help="determinism lint over simulator source"
     )
-    p_lint.add_argument(
-        "paths", nargs="*", default=[],
-        help="files/directories to lint (default: the repro package)",
-    )
-    p_lint.add_argument("--allowlist", default=None,
-                        help="override the packaged allowlist file")
-    p_lint.add_argument(
-        "--deep", action="store_true",
-        help="add the whole-program passes: call-graph determinism "
-             "taint, pickle-boundary safety, concurrency hazards",
-    )
-    p_lint.add_argument("--baseline", default=None,
-                        help="override the deep-pass burn-down baseline")
-    p_lint.add_argument("--json", dest="json_out", default=None,
-                        help="write the findings report as JSON here")
-    p_lint.add_argument("--sarif", dest="sarif_out", default=None,
-                        help="write the findings report as SARIF here")
-    p_lint.add_argument(
-        "--prune", action="store_true",
-        help="rewrite the allowlist without stale entries",
-    )
-    p_lint.set_defaults(func=cmd_lint)
+    staticcheck_lint.add_arguments(p_lint)
+    p_lint.set_defaults(func=staticcheck_lint.run)
 
     p_ens = sub.add_parser("ensemble", help="run an ensemble of workflows")
     p_ens.add_argument(

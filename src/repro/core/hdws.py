@@ -277,15 +277,6 @@ class HdwsScheduler(Scheduler):
         device, start, finish = window[0][0], window[0][1], window[0][2]
         return device, start, finish
 
-    def _eft(
-        self, context: SchedulingContext, schedule: Schedule, name: str,
-        device: Device,
-    ) -> Tuple[float, float]:
-        """Insertion EFT including initial staging (same as the baselines)."""
-        from repro.schedulers.base import eft_placement
-
-        return eft_placement(context, schedule, name, device)
-
     def _remote_bytes(
         self,
         context: SchedulingContext,

@@ -121,35 +121,17 @@ class SimJob:
 
 
 @dataclass(frozen=True)
-class TimingJob:
+class TimingJob(SimJob):
     """A scheduling-call wall-clock measurement (experiment T5).
 
-    Timing cells are never cached — a stored wall-clock time is not a
-    property of the inputs — and their absolute values are only
-    comparable within one ``--jobs`` setting.
+    The same fields and payload as :class:`SimJob`; the payload's
+    ``kind`` routes it to :func:`execute_timing`.  Timing cells are never
+    cached — a stored wall-clock time is not a property of the inputs —
+    and their absolute values are only comparable within one ``--jobs``
+    setting.
     """
 
-    workflow: Dict[str, Any]
-    cluster: Dict[str, Any]
-    scheduler: Union[str, Dict[str, Any]]
-    config: Dict[str, Any] = field(default_factory=dict)
-    label: str = ""
-
     kind = "timing"
-
-    def payload(self) -> Dict[str, Any]:
-        """Picklable dict handed to the pool worker (see SimJob.payload)."""
-        from repro.runner.hashing import workflow_fingerprint
-
-        return {
-            "kind": self.kind,
-            "workflow": self.workflow,
-            "workflow_fp": workflow_fingerprint(self.workflow),
-            "cluster": self.cluster,
-            "scheduler": self.scheduler,
-            "config": self.config,
-            "label": self.label,
-        }
 
 
 def _build_scheduler(spec: Union[str, Dict[str, Any]]):
@@ -159,32 +141,26 @@ def _build_scheduler(spec: Union[str, Dict[str, Any]]):
     return specs.build(spec)
 
 
-#: Deserialized workflows keyed by content fingerprint (preferred: the
-#: key survives pickling across the process boundary) or by document
-#: identity (fallback for payloads without a fingerprint).  Campaign
-#: builders share one document across the cells of a grid row (e.g. the
-#: 8 golden scheduler cells per suite), so workers rebuild each workflow
-#: once per distinct document — keeping its lazily-built graph caches
-#: warm — instead of once per cell.  Identity entries hold a strong
-#: reference to the document, which keeps its ``id`` valid for the
-#: lifetime of the entry; the ``is`` check makes a stale hit impossible
-#: either way.
-_workflow_memo: Dict[object, tuple] = {}
+#: Deserialized workflows keyed by content fingerprint (the key survives
+#: pickling across the process boundary).  Campaign builders share one
+#: document across the cells of a grid row (e.g. the 8 golden scheduler
+#: cells per suite), so workers rebuild each workflow once per distinct
+#: document — keeping its lazily-built graph caches warm — instead of
+#: once per cell.
+_workflow_memo: Dict[str, Any] = {}
 _WORKFLOW_MEMO_MAX = 16
 
 
-def _workflow_for(doc: Dict[str, Any], fingerprint: Optional[str] = None):
-    """The Workflow for ``doc``, memoized by fingerprint or identity."""
+def _workflow_for(doc: Dict[str, Any], fingerprint: str):
+    """The Workflow for ``doc``, memoized by its content fingerprint."""
     from repro.workflows.serialize import workflow_from_dict
 
-    memo_key: object = fingerprint if fingerprint is not None else id(doc)
-    entry = _workflow_memo.get(memo_key)
-    if entry is not None and (fingerprint is not None or entry[0] is doc):
-        return entry[1]
-    wf = workflow_from_dict(doc)
-    if len(_workflow_memo) >= _WORKFLOW_MEMO_MAX:
-        _workflow_memo.clear()
-    _workflow_memo[memo_key] = (doc, wf)
+    wf = _workflow_memo.get(fingerprint)
+    if wf is None:
+        wf = workflow_from_dict(doc)
+        if len(_workflow_memo) >= _WORKFLOW_MEMO_MAX:
+            _workflow_memo.clear()
+        _workflow_memo[fingerprint] = wf
     return wf
 
 
@@ -220,15 +196,11 @@ def _memo_keys(
     the run seed, since the context then draws each task's estimate
     error from the seed; such a cell bypasses the context memo.  Noise,
     faults, recovery and the rest of the config never reach
-    ``schedule()``.  Only static cells plan before the run; a payload
-    without a workflow fingerprint bypasses both memos.
+    ``schedule()``.  Only static cells plan before the run.
     """
     config = payload["config"]
-    fingerprint = payload.get("workflow_fp")
-    if fingerprint is None:
-        return None, None
     inputs = (
-        fingerprint,
+        payload["workflow_fp"],
         cluster_key,
         canonical_json(config.get("release_times") or {}),
     )
@@ -354,7 +326,7 @@ def execute_sim(payload: Dict[str, Any]) -> Dict[str, Any]:
     t0 = time.perf_counter()
     try:
         _maybe_inject_failure(payload)
-        wf = _workflow_for(payload["workflow"], payload.get("workflow_fp"))
+        wf = _workflow_for(payload["workflow"], payload["workflow_fp"])
         cluster_key = canonical_json(payload["cluster"])
         cluster = _platform_for(payload["cluster"], cluster_key)
         scheduler = _build_scheduler(payload["scheduler"])
@@ -383,7 +355,7 @@ def execute_timing(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.schedulers.base import SchedulingContext
 
     try:
-        wf = _workflow_for(payload["workflow"], payload.get("workflow_fp"))
+        wf = _workflow_for(payload["workflow"], payload["workflow_fp"])
         cluster = specs.build(payload["cluster"])
         scheduler = _build_scheduler(payload["scheduler"])
         if isinstance(scheduler, str):

@@ -254,17 +254,6 @@ class Simulator:
             self._running = False
         return self._now
 
-    def _peek_time(self) -> Optional[float]:
-        """Time of the next live event, discarding tombstones; None if empty."""
-        queue = self._queue
-        while queue:
-            handle = queue[0]
-            if handle._state != _PENDING:
-                heapq.heappop(queue)
-                continue
-            return handle.time
-        return None
-
     def clear(self) -> None:
         """Cancel every pending event (the clock is left untouched)."""
         for handle in self._queue:

@@ -4,8 +4,9 @@ The whole-program analyses (:mod:`repro.staticcheck.flow`,
 :mod:`repro.staticcheck.pickle_safety`,
 :mod:`repro.staticcheck.concurrency`) all need the same substrate: who
 calls whom, statically, across the whole of ``src/repro``.  This module
-parses every file once and resolves call edges with a deliberately
-conservative set of rules — edges it cannot prove are *not* invented, so
+resolves call edges over the modules the front end parsed
+(:mod:`repro.staticcheck.source`) with a deliberately conservative set
+of rules — edges it cannot prove are *not* invented, so
 downstream taint never explodes through common method names like
 ``get`` or ``update``:
 
@@ -13,7 +14,8 @@ downstream taint never explodes through common method names like
   defs in the enclosing function);
 * calls through ``import`` / ``from ... import`` bindings (function- and
   module-local imports both count; relative imports are resolved against
-  the importing package);
+  the importing package by the front end's alias table,
+  :func:`repro.staticcheck.source.collect_aliases`);
 * ``self.method()`` / ``cls.method()`` resolved through the class and
   its statically-known base chain;
 * ``Name.method()`` where ``Name`` is a class (static/class-method
@@ -31,32 +33,13 @@ mode for a lint (missed findings, never avalanches of false ones).
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.staticcheck.lint import iter_python_files
+from repro.staticcheck.source import ModuleInfo, dotted_name, parse_paths
 
 #: Receiver names resolved through the enclosing class.
 _SELF_NAMES = ("self", "cls")
-
-
-def module_name_for(path: str) -> str:
-    """Dotted module name of a file, by walking up ``__init__.py`` dirs.
-
-    Files outside any package resolve to their bare stem, so the graph
-    also works over synthetic test trees.
-    """
-    path = os.path.abspath(path)
-    stem = os.path.splitext(os.path.basename(path))[0]
-    parts: List[str] = []
-    d = os.path.dirname(path)
-    while os.path.isfile(os.path.join(d, "__init__.py")):
-        parts.insert(0, os.path.basename(d))
-        d = os.path.dirname(d)
-    if stem != "__init__":
-        parts.append(stem)
-    return ".".join(parts) if parts else stem
 
 
 def local_nodes(root: ast.AST) -> Iterator[ast.AST]:
@@ -75,6 +58,14 @@ def local_nodes(root: ast.AST) -> Iterator[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue  # the definition is visible; its body is not ours
         stack.extend(reversed(list(ast.iter_child_nodes(node))))
+
+
+def param_names(fn: ast.AST) -> Set[str]:
+    """The parameter names of one function definition."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    return names
 
 
 @dataclass
@@ -105,48 +96,6 @@ class ClassInfo:
     methods: Dict[str, str] = field(default_factory=dict)  # name -> qualname
 
 
-@dataclass
-class ModuleInfo:
-    """Per-module symbol tables the resolver consults."""
-
-    name: str
-    path: str
-    tree: ast.AST
-    aliases: Dict[str, str] = field(default_factory=dict)
-    functions: Dict[str, str] = field(default_factory=dict)  # local -> qual
-    classes: Dict[str, str] = field(default_factory=dict)
-    #: Module-level assigned names -> the assigned value expression.
-    globals: Dict[str, ast.AST] = field(default_factory=dict)
-
-
-def _collect_aliases(tree: ast.AST, module: str, is_pkg: bool) -> Dict[str, str]:
-    """Local name -> dotted import path, resolving relative imports."""
-    package = module if is_pkg else module.rpartition(".")[0]
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    aliases[root] = root
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                pkg_parts = package.split(".") if package else []
-                keep = len(pkg_parts) - (node.level - 1)
-                if keep < 0:
-                    continue
-                prefix = ".".join(pkg_parts[:keep])
-                base = f"{prefix}.{base}" if base and prefix else (prefix or base)
-            if not base:
-                continue
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = f"{base}.{alias.name}"
-    return aliases
-
-
 class CallGraph:
     """The resolved call graph; see the module docstring for edge rules."""
 
@@ -156,6 +105,8 @@ class CallGraph:
         self.classes: Dict[str, ClassInfo] = {}
         #: caller qualname -> [(callee qualname, call lineno)]
         self.edges: Dict[str, List[Tuple[str, int]]] = {}
+        #: callee qualname -> its callers, one per edge (reverse edges)
+        self.callers: Dict[str, List[str]] = {}
         #: caller qualname -> [(unresolved attr name, lineno)]
         self.unresolved: Dict[str, List[Tuple[str, int]]] = {}
 
@@ -212,10 +163,6 @@ class CallGraph:
         info = self.functions.get(qualname)
         return iter(()) if info is None else local_nodes(info.node)
 
-    def module_of(self, qualname: str) -> Optional[ModuleInfo]:
-        info = self.functions.get(qualname)
-        return self.modules.get(info.module) if info else None
-
     def method_on(self, class_qual: str, method: str) -> Optional[str]:
         """Resolve a method through the class's static base chain."""
         seen: Set[str] = set()
@@ -236,25 +183,18 @@ class CallGraph:
 
 def build_callgraph(paths: Sequence[str]) -> CallGraph:
     """Parse every ``.py`` file under ``paths`` and resolve call edges."""
+    return graph_of(parse_paths(paths))
+
+
+def graph_of(modules: Iterable[ModuleInfo]) -> CallGraph:
+    """Resolve call edges over already-parsed modules (in path order)."""
     graph = CallGraph()
-    for filename in iter_python_files(paths):
-        try:
-            with open(filename, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=filename)
-        except (OSError, SyntaxError):
-            continue
-        rel = os.path.relpath(filename).replace(os.sep, "/")
-        module = module_name_for(filename)
-        is_pkg = os.path.basename(filename) == "__init__.py"
-        info = ModuleInfo(
-            name=module, path=rel, tree=tree,
-            aliases=_collect_aliases(tree, module, is_pkg),
-        )
-        graph.modules[module] = info
-        _collect_defs(graph, info)
+    for module in modules:
+        graph.modules[module.name] = module
+        _collect_defs(graph, module)
     _resolve_bases(graph)
-    for module in graph.modules.values():
-        _collect_edges(graph, module)
+    for fn in graph.functions.values():
+        _edges_for_function(graph, graph.modules[fn.module], fn)
     return graph
 
 
@@ -315,30 +255,18 @@ def _resolve_bases(graph: CallGraph) -> None:
     for cls in graph.classes.values():
         module = graph.modules[cls.module]
         for base in cls.node.bases:
-            resolved = _resolve_symbol(graph, module, base)
+            resolved = resolve_symbol(graph, module, base)
             if resolved and resolved[0] == "class":
                 cls.bases.append(resolved[1])
             else:
-                dotted = _dotted(base, module.aliases)
+                dotted = dotted_name(base, module.aliases)
                 if dotted and dotted in graph.classes:
                     cls.bases.append(dotted)
                 elif isinstance(base, ast.Name):
                     cls.bases.append(base.id)  # raw (builtin) name
 
 
-def _dotted(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Resolve an attribute chain through the import alias table."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name) or node.id not in aliases:
-        return None
-    parts.append(aliases[node.id])
-    return ".".join(reversed(parts))
-
-
-def _resolve_symbol(
+def resolve_symbol(
     graph: CallGraph, module: ModuleInfo, node: ast.AST,
     local_defs: Optional[Dict[str, str]] = None,
 ) -> Optional[Tuple[str, str]]:
@@ -357,7 +285,7 @@ def _resolve_symbol(
             if target in graph.classes:
                 return ("class", target)
         return None
-    dotted = _dotted(node, module.aliases)
+    dotted = dotted_name(node, module.aliases)
     if dotted:
         if dotted in graph.functions:
             return ("func", dotted)
@@ -366,17 +294,10 @@ def _resolve_symbol(
     return None
 
 
-def _collect_edges(graph: CallGraph, module: ModuleInfo) -> None:
-    """Extract call edges for every function defined in ``module``."""
-    for qual, fn in list(graph.functions.items()):
-        if fn.module != module.name:
-            continue
-        _edges_for_function(graph, module, fn)
-
-
 def _edges_for_function(
     graph: CallGraph, module: ModuleInfo, fn: FunctionInfo
 ) -> None:
+    """Extract the call edges of one function defined in ``module``."""
     edges = graph.edges.setdefault(fn.qualname, [])
     unresolved = graph.unresolved.setdefault(fn.qualname, [])
 
@@ -391,7 +312,7 @@ def _edges_for_function(
             local_defs[node.name] = f"{fn.qualname}.{node.name}"
     for node in nodes:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            resolved = _resolve_symbol(
+            resolved = resolve_symbol(
                 graph, module, node.value.func, local_defs
             )
             if resolved and resolved[0] == "class":
@@ -402,13 +323,14 @@ def _edges_for_function(
     def add(callee: Optional[str], lineno: int) -> None:
         if callee is not None and callee in graph.functions:
             edges.append((callee, lineno))
+            graph.callers.setdefault(callee, []).append(fn.qualname)
 
     for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         lineno = getattr(node, "lineno", fn.lineno)
         func = node.func
-        resolved = _resolve_symbol(graph, module, func, local_defs)
+        resolved = resolve_symbol(graph, module, func, local_defs)
         if resolved:
             kind, target = resolved
             if kind == "func":
@@ -429,13 +351,13 @@ def _edges_for_function(
         elif isinstance(recv, ast.Name) and recv.id in local_types:
             add(graph.method_on(local_types[recv.id], method), lineno)
         elif isinstance(recv, ast.Call):
-            inner = _resolve_symbol(graph, module, recv.func, local_defs)
+            inner = resolve_symbol(graph, module, recv.func, local_defs)
             if inner and inner[0] == "class":
                 add(graph.method_on(inner[1], method), lineno)
             else:
                 unresolved.append((method, lineno))
         else:
-            recv_sym = _resolve_symbol(graph, module, recv, local_defs)
+            recv_sym = resolve_symbol(graph, module, recv, local_defs)
             if recv_sym and recv_sym[0] == "class":
                 add(graph.method_on(recv_sym[1], method), lineno)
             else:

@@ -42,17 +42,20 @@ Three bug classes PRs 5–7 met in the wild, now machine-checked:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.runner.health import FAILURE_TAXONOMY
 from repro.staticcheck.callgraph import (
     CallGraph,
     FunctionInfo,
     local_nodes,
+    param_names,
+    resolve_symbol,
 )
-from repro.staticcheck.findings import Finding, Severity
-from repro.staticcheck.lint import allow_match
+from repro.staticcheck.findings import Finding
+from repro.staticcheck.lint import Reporter
 from repro.staticcheck.pickle_safety import POOL_DISPATCH_METHODS
+from repro.staticcheck.source import ModuleInfo
 
 #: Layer tag for every finding this module emits.
 LAYER = "concurrency"
@@ -124,16 +127,7 @@ def default_thread_roots(graph: CallGraph) -> List[str]:
 
 def _local_bindings(info: FunctionInfo) -> Set[str]:
     """Names bound inside the function (params, assigns, loops, withs)."""
-    args = info.node.args
-    bound = {
-        a.arg for a in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        )
-    }
-    if args.vararg:
-        bound.add(args.vararg.arg)
-    if args.kwarg:
-        bound.add(args.kwarg.arg)
+    bound = param_names(info.node)
 
     def add_target(target: ast.AST) -> None:
         for node in ast.walk(target):
@@ -159,23 +153,13 @@ def _local_bindings(info: FunctionInfo) -> Set[str]:
     return bound
 
 
-def _resolve_class(graph: CallGraph, module, node: ast.AST) -> Optional[str]:
-    """Resolve an expression to a class qualname, if statically known."""
-    from repro.staticcheck.callgraph import _resolve_symbol
-
-    resolved = _resolve_symbol(graph, module, node)
-    if resolved and resolved[0] == "class":
-        return resolved[1]
-    return None
-
-
 # ------------------------------------------------------------------ #
 # shared-state mutation scanning                                     #
 # ------------------------------------------------------------------ #
 
 def _state_mutations(
     graph: CallGraph, qual: str
-) -> Tuple[Optional[object], List[Tuple[ast.AST, str]]]:
+) -> Tuple[ModuleInfo, List[Tuple[ast.AST, str]]]:
     """``(module, [(node, what), ...])`` mutation sites in one function.
 
     A site is a mutation of state that outlives the call: a ``global``
@@ -185,9 +169,7 @@ def _state_mutations(
     caller's to judge.
     """
     info = graph.functions[qual]
-    module = graph.modules.get(info.module)
-    if module is None:
-        return None, []
+    module = graph.modules[info.module]
     declared_global: Set[str] = set()
     for node in local_nodes(info.node):
         if isinstance(node, ast.Global):
@@ -223,11 +205,11 @@ def _state_mutations(
                             (node, f"module-level container {name!r}")
                         )
                 elif isinstance(target, ast.Attribute):
-                    cls = _resolve_class(graph, module, target.value)
-                    if cls is not None:
-                        sites.append(
-                            (node, f"class attribute {cls}.{target.attr}")
-                        )
+                    resolved = resolve_symbol(graph, module, target.value)
+                    if resolved and resolved[0] == "class":
+                        sites.append((
+                            node, f"class attribute {resolved[1]}.{target.attr}"
+                        ))
         elif isinstance(node, ast.Delete):
             for target in node.targets:
                 if isinstance(target, ast.Subscript):
@@ -266,31 +248,20 @@ def check_worker_mutation(
         list(worker_roots) if worker_roots is not None
         else default_worker_roots(graph)
     )
-    findings: List[Finding] = []
+    report = Reporter(LAYER, allow, used)
     for qual in sorted(graph.reachable(roots)):
         info = graph.functions[qual]
         module, sites = _state_mutations(graph, qual)
-        if module is None:
-            continue
         for node, what in sites:
-            lineno = getattr(node, "lineno", info.lineno)
-            location = f"{module.path}:{lineno}"
-            message = (
+            report.flag(
+                "worker-global-mutation", module.path,
+                getattr(node, "lineno", info.lineno),
                 f"worker-reachable {qual} mutates {what}; workers and "
-                f"parent silently diverge across the process boundary"
-            )
-            if allow_match(
-                allow, module.path, "worker-global-mutation",
-                location, message, used,
-            ):
-                continue
-            findings.append(Finding(
-                "worker-global-mutation", Severity.ERROR, LAYER, location,
-                message,
+                f"parent silently diverge across the process boundary",
                 "make the state per-call, or allowlist with a written "
                 "justification if it is a deliberate per-process memo",
-            ))
-    return findings
+            )
+    return report.findings
 
 
 # ------------------------------------------------------------------ #
@@ -343,35 +314,24 @@ def check_thread_mutation(
         list(thread_roots) if thread_roots is not None
         else default_thread_roots(graph)
     )
-    findings: List[Finding] = []
+    report = Reporter(LAYER, allow, used)
     for qual in sorted(graph.reachable(roots)):
         info = graph.functions[qual]
         module, sites = _state_mutations(graph, qual)
-        if module is None:
-            continue
         guarded = _lock_guarded_ranges(info)
         for node, what in sites:
             lineno = getattr(node, "lineno", info.lineno)
             if any(lo <= lineno <= hi for lo, hi in guarded):
                 continue
-            location = f"{module.path}:{lineno}"
-            message = (
+            report.flag(
+                "thread-shared-mutation", module.path, lineno,
                 f"thread-reachable {qual} mutates {what} outside any "
-                f"lock; threads sharing the interpreter race on it"
-            )
-            if allow_match(
-                allow, module.path, "thread-shared-mutation",
-                location, message, used,
-            ):
-                continue
-            findings.append(Finding(
-                "thread-shared-mutation", Severity.ERROR, LAYER, location,
-                message,
+                f"lock; threads sharing the interpreter race on it",
                 "guard the mutation with `with <lock>:`, make the state "
                 "per-call, or allowlist with a written justification if "
                 "the race is benign by construction",
-            ))
-    return findings
+            )
+    return report.findings
 
 
 # ------------------------------------------------------------------ #
@@ -390,14 +350,10 @@ def _dispatching_functions(graph: CallGraph) -> Set[str]:
             ):
                 base.add(qual)
                 break
-    callers: Dict[str, List[str]] = {}
-    for caller, edges in graph.edges.items():
-        for callee, _lineno in edges:
-            callers.setdefault(callee, []).append(caller)
     work = list(base)
     while work:
         fn = work.pop()
-        for caller in callers.get(fn, ()):
+        for caller in graph.callers.get(fn, ()):
             if caller not in base:
                 base.add(caller)
                 work.append(caller)
@@ -428,31 +384,21 @@ def check_generator_cleanup(
     used: Optional[Set] = None,
 ) -> List[Finding]:
     """Pool-dispatching generators without a guaranteed cleanup path."""
-    findings: List[Finding] = []
-    dispatchers = _dispatching_functions(graph)
-    for qual in sorted(dispatchers):
+    report = Reporter(LAYER, allow, used)
+    for qual in sorted(_dispatching_functions(graph)):
         info = graph.functions[qual]
         if not info.is_generator or _has_cleanup_path(info):
             continue
-        module = graph.modules.get(info.module)
-        path = module.path if module else info.path
-        location = f"{path}:{info.lineno}"
-        message = (
+        report.flag(
+            "generator-pool-cleanup", graph.modules[info.module].path,
+            info.lineno,
             f"generator {qual} dispatches to a process pool with no "
             f"try/finally or closing() path; abandoning it mid-stream "
-            f"strands the pool's in-flight iterator"
-        )
-        if allow_match(
-            allow, path, "generator-pool-cleanup", location, message, used
-        ):
-            continue
-        findings.append(Finding(
-            "generator-pool-cleanup", Severity.ERROR, LAYER, location,
-            message,
+            f"strands the pool's in-flight iterator",
             "wrap the dispatch/consume loop in try/finally and dispose "
             "the pool iterator there",
-        ))
-    return findings
+        )
+    return report.findings
 
 
 # ------------------------------------------------------------------ #
@@ -491,18 +437,14 @@ def check_unclassified_raises(
     used: Optional[Set] = None,
 ) -> List[Finding]:
     """Worker-reachable raise sites outside the failure taxonomy."""
-    from repro.staticcheck.callgraph import _resolve_symbol
-
     roots = (
         list(worker_roots) if worker_roots is not None
         else default_worker_roots(graph)
     )
-    findings: List[Finding] = []
+    report = Reporter(LAYER, allow, used)
     for qual in sorted(graph.reachable(roots)):
         info = graph.functions[qual]
-        module = graph.modules.get(info.module)
-        if module is None:
-            continue
+        module = graph.modules[info.module]
         local = _local_bindings(info)
         for node in graph.function_nodes(qual):
             if not isinstance(node, ast.Raise) or node.exc is None:
@@ -510,7 +452,7 @@ def check_unclassified_raises(
             exc = node.exc
             target = exc.func if isinstance(exc, ast.Call) else exc
             name: Optional[str] = None
-            resolved = _resolve_symbol(graph, module, target)
+            resolved = resolve_symbol(graph, module, target)
             if resolved and resolved[0] == "class":
                 name = resolved[1]
             elif isinstance(target, ast.Name):
@@ -523,27 +465,17 @@ def check_unclassified_raises(
                 continue
             if classify_static(graph, name) is not None:
                 continue
-            lineno = getattr(node, "lineno", info.lineno)
-            location = f"{module.path}:{lineno}"
-            bare = name.rsplit(".", 1)[-1]
-            message = (
-                f"worker-reachable {qual} raises {bare}, which "
-                f"classify_exception cannot place in the failure "
-                f"taxonomy (falls to the unknown-permanent fallback)"
-            )
-            if allow_match(
-                allow, module.path, "unclassified-raise",
-                location, message, used,
-            ):
-                continue
-            findings.append(Finding(
-                "unclassified-raise", Severity.ERROR, LAYER, location,
-                message,
+            report.flag(
+                "unclassified-raise", module.path,
+                getattr(node, "lineno", info.lineno),
+                f"worker-reachable {qual} raises {name.rsplit('.', 1)[-1]}, "
+                f"which classify_exception cannot place in the failure "
+                f"taxonomy (falls to the unknown-permanent fallback)",
                 "derive the class from a classified base (e.g. "
                 "RuntimeError or TransientCellError) or extend the "
                 "taxonomy deliberately",
-            ))
-    return findings
+            )
+    return report.findings
 
 
 # ------------------------------------------------------------------ #

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.staticcheck.callgraph import CallGraph
-from repro.staticcheck.findings import Finding, Severity
-from repro.staticcheck.lint import allow_match, sink_for_call
+from repro.staticcheck.findings import Finding
+from repro.staticcheck.lint import Reporter, allow_match, sink_for_call
 
 #: Layer tag for every finding this module emits.
 LAYER = "flow"
@@ -92,15 +92,13 @@ def function_sinks(
 ) -> Dict[str, List[SinkSite]]:
     """Per-function direct-sink summaries, allowlist already applied.
 
-    Matching reuses the lint allowlist exactly: a 2-field entry
-    suppresses the check anywhere in the file, a 3-field entry only the
+    Matching reuses the lint allowlist exactly: an unsited entry
+    suppresses the check anywhere in the file, a sited entry only the
     named site — either way the sink seeds no interprocedural taint.
     """
     summaries: Dict[str, List[SinkSite]] = {}
     for qual, info in graph.functions.items():
-        module = graph.modules.get(info.module)
-        if module is None:
-            continue
+        module = graph.modules[info.module]
         sites: List[SinkSite] = []
         for node in graph.function_nodes(qual):
             if not isinstance(node, ast.Call):
@@ -126,16 +124,12 @@ def propagate_taint(
     taint: Dict[str, Set[str]] = {
         qual: {site.check for site in sites} for qual, sites in sinks.items()
     }
-    # Reverse edges once; worklist to a fixed point.
-    callers: Dict[str, List[str]] = {}
-    for caller, edges in graph.edges.items():
-        for callee, _lineno in edges:
-            callers.setdefault(callee, []).append(caller)
+    # Worklist over the graph's reverse edges to a fixed point.
     work = list(taint)
     while work:
         fn = work.pop()
         checks = taint.get(fn, set())
-        for caller in callers.get(fn, ()):  # noqa: B020
+        for caller in graph.callers.get(fn, ()):
             have = taint.setdefault(caller, set())
             if not checks <= have:
                 have.update(checks)
@@ -178,25 +172,18 @@ def check_flow(
     root_list = list(roots) if roots is not None else default_roots(graph)
     sinks = function_sinks(graph, allow=allow, used=used)
     taint = propagate_taint(graph, sinks)
-    findings: List[Finding] = []
+    report = Reporter(LAYER, allow, used)
     for root in root_list:
         info = graph.functions.get(root)
         if info is None:
             continue
         for check in sorted(taint.get(root, ())):
             chain = _chain_text(graph, root, sinks, check)
-            message = (
+            report.flag(
+                "taint-flow", info.path, info.lineno,
                 f"campaign entry point {root} transitively reaches a "
-                f"{check} sink: {chain}"
-            )
-            location = f"{info.path}:{info.lineno}"
-            if allow_match(
-                allow, info.path, "taint-flow", location, message, used
-            ):
-                continue
-            findings.append(Finding(
-                "taint-flow", Severity.ERROR, LAYER, location, message,
+                f"{check} sink: {chain}",
                 "remove the sink, route it through an allowlisted shim, "
                 "or break the call path",
-            ))
-    return findings
+            )
+    return report.findings

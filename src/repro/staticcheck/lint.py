@@ -51,26 +51,25 @@ them), so suppressions cannot silently rot.
 pass: the interprocedural determinism taint flow
 (:mod:`repro.staticcheck.flow`), the pickle-boundary checker
 (:mod:`repro.staticcheck.pickle_safety`) and the concurrency/lifecycle
-hazard checks (:mod:`repro.staticcheck.concurrency`).  Deep findings
-can be burnt down through the committed baseline
-(``deep_baseline.json``): baselined findings demote to warnings, new
-ones fail, and baseline entries that stop matching fail as stale.
+hazard checks (:mod:`repro.staticcheck.concurrency`).  Both passes read
+the same parsed modules (:mod:`repro.staticcheck.source`), and the one
+allowlist suppresses deep findings as it does lint findings: a sited
+entry names a single finding.
 
 Run stand-alone with::
 
     python -m repro.staticcheck.lint [paths...] [--deep]
         [--json OUT] [--sarif OUT] [--prune]
 
-which exits nonzero when any error-severity finding survives the
-allowlist/baseline, or when either file has stale entries.
+or as ``repro-flow lint`` with the same flags; either exits nonzero
+when any error-severity finding survives the allowlist, or when the
+allowlist has stale entries.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
-import json
 import os
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -82,6 +81,12 @@ from repro.staticcheck.findings import (
     findings_to_sarif,
     summary_table,
     write_json_file,
+)
+from repro.staticcheck.source import (
+    ModuleInfo,
+    dotted_name,
+    parse_paths,
+    parse_source,
 )
 
 #: Layer tag for every finding this module emits.
@@ -155,20 +160,20 @@ DICT_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault"}
 #: Default allowlist shipped with the package.
 DEFAULT_ALLOWLIST = os.path.join(os.path.dirname(__file__), "lint_allowlist.txt")
 
-#: Default deep-analysis baseline shipped with the package.
-DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "deep_baseline.json")
+#: Fix hints of the file-local (shallow) pass, by the check ids it emits.
+_HINTS = {
+    "wall-clock": "use the simulator's virtual time (executor.now / sim.now)",
+    "global-random": "thread a numpy Generator (see sim/rng.py) instead",
+    "unseeded-rng": "accept rng= or seed= from the caller and pass it down",
+    "ambient-entropy": "derive ids/draws from the campaign seed instead",
+    "hash-ordering": "sort by the value itself, not its per-process hash",
+    "fs-ordering": "iterate sorted(os.listdir(...)) for a stable order",
+    "set-iteration": "iterate sorted(...) for a deterministic order",
+    "dict-mutation-in-loop": "iterate list(d) when you must mutate d",
+}
 
 #: Check ids the file-local (shallow) pass can emit.
-LINT_CHECK_IDS = (
-    "wall-clock",
-    "global-random",
-    "unseeded-rng",
-    "ambient-entropy",
-    "hash-ordering",
-    "fs-ordering",
-    "set-iteration",
-    "dict-mutation-in-loop",
-)
+LINT_CHECK_IDS = tuple(_HINTS)
 
 #: Check ids the ``--deep`` whole-program pass adds.
 DEEP_CHECK_IDS = (
@@ -184,34 +189,12 @@ DEEP_CHECK_IDS = (
     "unclassified-raise",
 )
 
-_HINTS = {
-    "wall-clock": "use the simulator's virtual time (executor.now / sim.now)",
-    "global-random": "thread a numpy Generator (see sim/rng.py) instead",
-    "unseeded-rng": "accept rng= or seed= from the caller and pass it down",
-    "ambient-entropy": "derive ids/draws from the campaign seed instead",
-    "hash-ordering": "sort by the value itself, not its per-process hash",
-    "fs-ordering": "iterate sorted(os.listdir(...)) for a stable order",
-    "set-iteration": "iterate sorted(...) for a deterministic order",
-    "dict-mutation-in-loop": "iterate list(d) when you must mutate d",
-}
-
-#: Allowlist entry: (path-substring, check-id, optional site-substring).
+#: Allowlist entry: (path-substring, check-id, site-substring or None).
 AllowEntry = Tuple[str, str, Optional[str]]
 
 
-def _normalize_allow(allow: Sequence) -> List[AllowEntry]:
-    """Accept legacy 2-tuples and sited 3-tuples uniformly."""
-    out: List[AllowEntry] = []
-    for entry in allow:
-        if len(entry) == 2:
-            out.append((entry[0], entry[1], None))
-        else:
-            out.append((entry[0], entry[1], entry[2]))
-    return out
-
-
 def allow_match(
-    allow: Sequence,
+    allow: Sequence[AllowEntry],
     path: str,
     check: str,
     location: str = "",
@@ -220,13 +203,13 @@ def allow_match(
 ) -> bool:
     """Whether an allowlist entry suppresses this finding.
 
-    A 2-field entry matches on (path substring, check id); a 3-field
-    entry additionally requires its site substring to appear in the
-    finding's location or message — sink-site granularity.  Matched
-    entries are recorded in ``used`` for stale detection.
+    An entry matches on (path substring, check id); a sited entry
+    additionally requires its site substring to appear in the finding's
+    location or message — sink-site granularity.  Matched entries are
+    recorded in ``used`` for stale detection.
     """
     hit = False
-    for entry in _normalize_allow(allow):
+    for entry in allow:
         part, c, site = entry
         if c != check or part not in path:
             continue
@@ -238,36 +221,36 @@ def allow_match(
     return hit
 
 
-def _collect_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Map local names to the dotted import paths they are bound to."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    # ``import numpy.random`` binds the root name only.
-                    root = alias.name.split(".")[0]
-                    aliases[root] = root
-        elif isinstance(node, ast.ImportFrom):
-            if node.level or not node.module:
-                continue  # relative imports never reach the banned modules
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return aliases
+class Reporter:
+    """One pass's findings, each checked against the allowlist once.
 
+    Every check of the lint and of the deep passes reports through
+    :meth:`flag`, which makes an ERROR finding at ``path:line`` unless an
+    allowlist entry suppresses it (and records that entry in ``used``).
+    """
 
-def _dotted_path(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Resolve an attribute chain to its imported dotted path, if any."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name) or node.id not in aliases:
-        return None
-    parts.append(aliases[node.id])
-    return ".".join(reversed(parts))
+    def __init__(
+        self,
+        layer: str,
+        allow: Sequence[AllowEntry] = (),
+        used: Optional[Set[AllowEntry]] = None,
+    ) -> None:
+        self.layer = layer
+        self.allow = allow
+        self.used = used
+        self.findings: List[Finding] = []
+
+    def flag(
+        self, check: str, path: str, line: int, message: str, hint: str
+    ) -> None:
+        """Record one finding unless the allowlist suppresses it."""
+        location = f"{path}:{line}"
+        if not allow_match(
+            self.allow, path, check, location, message, self.used
+        ):
+            self.findings.append(Finding(
+                check, Severity.ERROR, self.layer, location, message, hint,
+            ))
 
 
 def sink_for_call(
@@ -279,7 +262,7 @@ def sink_for_call(
     file-local pass here and the interprocedural taint flow
     (:mod:`repro.staticcheck.flow`).
     """
-    dotted = _dotted_path(node.func, aliases)
+    dotted = dotted_name(node.func, aliases)
     if dotted is None:
         return None
     if dotted in WALL_CLOCK_CALLS:
@@ -344,7 +327,7 @@ def _is_fs_listing(node: ast.AST, aliases: Dict[str, str]) -> bool:
     """Whether an expression is a direct unsorted-directory-listing call."""
     if not isinstance(node, ast.Call):
         return False
-    return _dotted_path(node.func, aliases) in FS_LISTING_CALLS
+    return dotted_name(node.func, aliases) in FS_LISTING_CALLS
 
 
 def _uses_hash(node: ast.AST) -> bool:
@@ -438,25 +421,28 @@ def _order_insensitive_iters(tree: ast.AST) -> Set[int]:
 def lint_source(
     source: str,
     path: str = "<string>",
-    allow: Sequence = (),
+    allow: Sequence[AllowEntry] = (),
     used: Optional[Set[AllowEntry]] = None,
 ) -> List[Finding]:
     """Lint one module's source text; returns surviving findings."""
-    tree = ast.parse(source, filename=path)
-    aliases = _collect_aliases(tree)
-    exempt_iters = _order_insensitive_iters(tree)
-    findings: List[Finding] = []
+    return lint_module(parse_source(source, path), allow, used)
+
+
+def lint_module(
+    module: ModuleInfo,
+    allow: Sequence[AllowEntry] = (),
+    used: Optional[Set[AllowEntry]] = None,
+) -> List[Finding]:
+    """Lint one parsed module; returns surviving findings."""
+    aliases = module.aliases
+    exempt_iters = _order_insensitive_iters(module.tree)
+    report = Reporter(LAYER, allow, used)
 
     def flag(check: str, node: ast.AST, message: str) -> None:
-        location = f"{path}:{getattr(node, 'lineno', 0)}"
-        if allow_match(allow, path, check, location, message, used):
-            return
-        findings.append(
-            Finding(check, Severity.ERROR, LAYER, location, message,
+        report.flag(check, module.path, getattr(node, "lineno", 0), message,
                     _HINTS[check])
-        )
 
-    for node in ast.walk(tree):
+    for node in ast.walk(module.tree):
         if isinstance(node, ast.Call):
             sink = sink_for_call(node, aliases)
             if sink is not None:
@@ -510,68 +496,49 @@ def lint_source(
                         "dict-mutation-in-loop", hit,
                         "container is resized while a for-loop iterates it",
                     )
-    return findings
+    return report.findings
 
 
 # --------------------------------------------------------------------- #
-# file/tree driving                                                     #
+# allowlist and tree driving                                            #
 # --------------------------------------------------------------------- #
+
+def _allow_entry(raw: str, path: str) -> Optional[AllowEntry]:
+    """The entry on one allowlist line; None for a blank or comment line."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    fields = [f.strip() for f in line.split("::")]
+    if len(fields) not in (2, 3) or not all(fields):
+        raise ValueError(
+            f"bad allowlist entry {raw.strip()!r} in {path}; "
+            f"expected '<path-substring>::<check-id>"
+            f"[::<site-substring>]'"
+        )
+    return (fields[0], fields[1], fields[2] if len(fields) == 3 else None)
+
 
 def load_allowlist(path: str) -> List[AllowEntry]:
     """Parse ``<path-substring>::<check-id>[::<site-substring>]`` entries."""
-    entries: List[AllowEntry] = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split("::")]
-            if len(fields) not in (2, 3) or not all(fields):
-                raise ValueError(
-                    f"bad allowlist entry {raw.strip()!r} in {path}; "
-                    f"expected '<path-substring>::<check-id>"
-                    f"[::<site-substring>]'"
-                )
-            part, check = fields[0], fields[1]
-            site = fields[2] if len(fields) == 3 else None
-            entries.append((part, check, site))
-    return entries
-
-
-def iter_python_files(paths: Iterable[str]) -> List[str]:
-    """Expand files/directories into a sorted list of .py files."""
-    out: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for root, _dirs, files in os.walk(path):
-                out.extend(
-                    os.path.join(root, f) for f in files if f.endswith(".py")
-                )
-        else:
-            out.append(path)
-    return sorted(set(out))
+        entries = [_allow_entry(raw, path) for raw in fh]
+    return [entry for entry in entries if entry is not None]
 
 
 def lint_paths(
     paths: Iterable[str],
-    allowlist_file: Optional[str] = DEFAULT_ALLOWLIST,
+    allow: Sequence[AllowEntry] = (),
     used: Optional[Set[AllowEntry]] = None,
 ) -> List[Finding]:
     """Lint every .py file under ``paths``; returns surviving findings."""
-    allow: List[AllowEntry] = []
-    if allowlist_file and os.path.exists(allowlist_file):
-        allow = load_allowlist(allowlist_file)
-    findings: List[Finding] = []
-    for filename in iter_python_files(paths):
-        with open(filename, encoding="utf-8") as fh:
-            source = fh.read()
-        rel = os.path.relpath(filename).replace(os.sep, "/")
-        findings.extend(lint_source(source, path=rel, allow=allow, used=used))
-    return findings
+    return [
+        finding for module in parse_paths(paths)
+        for finding in lint_module(module, allow, used)
+    ]
 
 
 def stale_entries(
-    allow: Sequence,
+    allow: Sequence[AllowEntry],
     used: Set[AllowEntry],
     files: Sequence[str],
     checks_in_scope: Iterable[str],
@@ -584,99 +551,22 @@ def stale_entries(
     outside the lint scope are neither live nor stale).
     """
     scope = set(checks_in_scope)
-    stale: List[AllowEntry] = []
-    for entry in _normalize_allow(allow):
-        if entry in used or entry[1] not in scope:
-            continue
-        if not any(entry[0] in path for path in files):
-            continue
-        stale.append(entry)
-    return stale
+    return [
+        entry for entry in allow
+        if entry not in used and entry[1] in scope
+        and any(entry[0] in path for path in files)
+    ]
 
 
 def prune_allowlist(path: str, stale: Sequence[AllowEntry]) -> int:
     """Rewrite the allowlist file without the given stale entries."""
     dead = set(stale)
-    kept: List[str] = []
-    removed = 0
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                fields = [f.strip() for f in line.split("::")]
-                entry = (
-                    fields[0], fields[1],
-                    fields[2] if len(fields) == 3 else None,
-                )
-                if entry in dead:
-                    removed += 1
-                    continue
-            kept.append(raw)
+        lines = fh.readlines()
+    kept = [raw for raw in lines if _allow_entry(raw, path) not in dead]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(kept)
-    return removed
-
-
-# --------------------------------------------------------------------- #
-# deep-pass baseline (burn-down file)                                   #
-# --------------------------------------------------------------------- #
-
-def load_baseline(path: str) -> List[Dict[str, str]]:
-    """Parse the committed deep-analysis baseline, if present.
-
-    Schema: ``{"schema": "repro.staticcheck-baseline/v1", "entries":
-    [{"check": ..., "path": ..., "contains": ..., "reason": ...}]}``.
-    ``contains`` is matched against the finding's message, ``path``
-    against its location — line numbers are deliberately absent so the
-    baseline survives unrelated edits.
-    """
-    if not path or not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != "repro.staticcheck-baseline/v1":
-        raise ValueError(
-            f"{path}: unknown baseline schema {doc.get('schema')!r}"
-        )
-    entries = doc.get("entries", [])
-    for entry in entries:
-        for field in ("check", "path", "contains"):
-            if field not in entry:
-                raise ValueError(f"{path}: baseline entry missing {field!r}")
-    return entries
-
-
-def apply_baseline(
-    findings: List[Finding], baseline: List[Dict[str, str]]
-) -> Tuple[List[Finding], List[Dict[str, str]]]:
-    """Demote baselined findings to warnings; return (findings, stale).
-
-    A baseline entry matches when its check id equals the finding's,
-    its path is a substring of the finding's location and its
-    ``contains`` text appears in the message.  Entries that match no
-    finding are returned as stale — a burnt-down violation must leave
-    the baseline in the same commit.
-    """
-    matched: Set[int] = set()
-    out: List[Finding] = []
-    for finding in findings:
-        demoted = finding
-        for i, entry in enumerate(baseline):
-            if (
-                entry["check"] == finding.check
-                and entry["path"] in finding.location
-                and entry["contains"] in finding.message
-            ):
-                matched.add(i)
-                if finding.severity == Severity.ERROR:
-                    demoted = dataclasses.replace(
-                        finding, severity=Severity.WARNING,
-                        message=finding.message + " [baselined]",
-                    )
-                break
-        out.append(demoted)
-    stale = [e for i, e in enumerate(baseline) if i not in matched]
-    return out, stale
+    return len(lines) - len(kept)
 
 
 # --------------------------------------------------------------------- #
@@ -684,19 +574,19 @@ def apply_baseline(
 # --------------------------------------------------------------------- #
 
 def _deep_findings(
-    paths: Sequence[str],
+    modules: Sequence[ModuleInfo],
     allow: Sequence[AllowEntry],
     used: Set[AllowEntry],
 ) -> List[Finding]:
-    """Run the whole-program analyses over ``paths``."""
+    """Run the whole-program analyses over the lint's parsed modules."""
     # Imported lazily: these modules import this one for the sink
-    # catalog and allowlist matcher.
-    from repro.staticcheck.callgraph import build_callgraph
+    # catalog and the reporter.
+    from repro.staticcheck.callgraph import graph_of
     from repro.staticcheck.concurrency import check_concurrency
     from repro.staticcheck.flow import check_flow
     from repro.staticcheck.pickle_safety import check_pickle_safety
 
-    graph = build_callgraph(paths)
+    graph = graph_of(modules)
     findings: List[Finding] = []
     findings.extend(check_flow(graph, allow=allow, used=used))
     findings.extend(check_pickle_safety(graph, allow=allow, used=used))
@@ -704,14 +594,13 @@ def _deep_findings(
     return findings
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: lint the given paths (default: the installed repro package)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="determinism lint over simulator source",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The lint's flags, for ``repro-lint`` and ``repro-flow lint`` alike."""
     default_target = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    parser.add_argument("paths", nargs="*", default=[default_target])
+    parser.add_argument(
+        "paths", nargs="*", default=[default_target],
+        help="files/directories to lint (default: the repro package)",
+    )
     parser.add_argument(
         "--allowlist", default=DEFAULT_ALLOWLIST,
         help="allowlist file (<path-substring>::<check-id>[::<site>] per line)",
@@ -720,10 +609,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--deep", action="store_true",
         help="add the whole-program analyses: call-graph determinism "
              "taint, pickle-boundary safety, concurrency/lifecycle hazards",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help="deep-pass burn-down baseline JSON (matches demote to warnings)",
     )
     parser.add_argument(
         "--json", dest="json_out", default=None,
@@ -737,40 +622,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--prune", action="store_true",
         help="rewrite the allowlist without stale entries instead of failing",
     )
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
+    """Lint ``args.paths`` (flags of :func:`add_arguments`); the exit code."""
     allow: List[AllowEntry] = []
     if args.allowlist and os.path.exists(args.allowlist):
         allow = load_allowlist(args.allowlist)
     used: Set[AllowEntry] = set()
-    files = [
-        os.path.relpath(f).replace(os.sep, "/")
-        for f in iter_python_files(args.paths)
-    ]
-
-    findings = lint_paths(args.paths, allowlist_file=None, used=used)
-    # lint_paths loads its own allowlist when given a file; here the
-    # entries are shared with the deep pass, so match them in one place.
+    modules = parse_paths(args.paths)
     findings = [
-        f for f in findings
-        if not allow_match(
-            allow, f.location.rsplit(":", 1)[0], f.check,
-            f.location, f.message, used,
-        )
+        finding for module in modules
+        for finding in lint_module(module, allow, used)
     ]
-
     scope: List[str] = list(LINT_CHECK_IDS)
-    stale_baseline: List[Dict[str, str]] = []
     if args.deep:
         scope += list(DEEP_CHECK_IDS)
-        findings.extend(_deep_findings(args.paths, allow, used))
-        baseline = load_baseline(args.baseline)
-        findings, stale_baseline = apply_baseline(findings, baseline)
+        findings.extend(_deep_findings(modules, allow, used))
 
     for finding in findings:
         print(finding)
 
-    stale = stale_entries(allow, used, files, scope)
+    stale = stale_entries(allow, used, [m.path for m in modules], scope)
     if stale and args.prune and args.allowlist:
         removed = prune_allowlist(args.allowlist, stale)
         print(f"pruned {removed} stale allowlist entr(y/ies) "
@@ -781,12 +654,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"stale allowlist entry {entry!r}: suppresses nothing — "
             f"remove it or run with --prune"
-        )
-    for entry in stale_baseline:
-        print(
-            f"stale baseline entry {entry['check']}::{entry['path']}: "
-            f"matches no finding — burnt-down violations must leave "
-            f"{os.path.basename(args.baseline)}"
         )
 
     if args.deep or args.json_out or args.sarif_out:
@@ -804,7 +671,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{label}: {len(errors)} error(s) in {len(findings)} finding(s)")
     else:
         print(f"{label}: clean")
-    return 1 if errors or stale or stale_baseline else 0
+    return 1 if errors or stale else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI: lint the given paths (default: the installed repro package)."""
+    parser = argparse.ArgumentParser(
+        prog="repro-lint",
+        description="determinism lint over simulator source",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,11 +35,16 @@ a module-level function, never a lambda or a nested def
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.staticcheck.callgraph import CallGraph, FunctionInfo, local_nodes
-from repro.staticcheck.findings import Finding, Severity
-from repro.staticcheck.lint import allow_match
+from repro.staticcheck.callgraph import (
+    CallGraph,
+    FunctionInfo,
+    local_nodes,
+    param_names,
+)
+from repro.staticcheck.findings import Finding
+from repro.staticcheck.lint import Reporter
 
 #: Layer tag for every finding this module emits.
 LAYER = "pickle"
@@ -88,16 +93,6 @@ def _function_locals(info: FunctionInfo) -> Tuple[Set[str], Set[str], Set[str]]:
     """(nested def/class names, open-handle locals, parameter names)."""
     local_defs: Set[str] = set()
     open_handles: Set[str] = set()
-    args = info.node.args
-    params = {
-        a.arg for a in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        )
-    }
-    if args.vararg:
-        params.add(args.vararg.arg)
-    if args.kwarg:
-        params.add(args.kwarg.arg)
     for node in local_nodes(info.node):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             local_defs.add(node.name)
@@ -112,7 +107,7 @@ def _function_locals(info: FunctionInfo) -> Tuple[Set[str], Set[str], Set[str]]:
                     and isinstance(item.optional_vars, ast.Name)
                 ):
                     open_handles.add(item.optional_vars.id)
-    return local_defs, open_handles, params
+    return local_defs, open_handles, param_names(info.node)
 
 
 def _is_open_call(node: Optional[ast.AST]) -> bool:
@@ -130,31 +125,21 @@ def check_pickle_safety(
     used: Optional[Set] = None,
 ) -> List[Finding]:
     """All pickle-boundary findings over the graph (see module docs)."""
-    findings: List[Finding] = []
+    report = Reporter(LAYER, allow, used)
     builder_list = (
         list(builders) if builders is not None else payload_builders(graph)
     )
     cone = graph.reachable(builder_list)
 
-    def flag(check: str, path: str, lineno: int, message: str, hint: str):
-        location = f"{path}:{lineno}"
-        if allow_match(allow, path, check, location, message, used):
-            return
-        findings.append(
-            Finding(check, Severity.ERROR, LAYER, location, message, hint)
-        )
-
     for qual in sorted(cone):
         info = graph.functions[qual]
-        module = graph.modules.get(info.module)
-        if module is None:
-            continue
+        module = graph.modules[info.module]
         local_defs, open_handles, params = _function_locals(info)
 
         def classify_value(node: ast.AST) -> None:
             lineno = getattr(node, "lineno", info.lineno)
             if isinstance(node, ast.Lambda):
-                flag(
+                report.flag(
                     "pickle-lambda", module.path, lineno,
                     f"{qual} stores a lambda in a worker payload; lambdas "
                     f"cannot cross the pool's pickle boundary",
@@ -162,7 +147,7 @@ def check_pickle_safety(
                     "(factory spec)",
                 )
             elif _is_open_call(node):
-                flag(
+                report.flag(
                     "pickle-open-handle", module.path, lineno,
                     f"{qual} stores an open file handle in a worker "
                     f"payload; handles do not survive the pickle boundary",
@@ -173,7 +158,7 @@ def check_pickle_safety(
                 if name in params:
                     return  # caller-supplied: checked at its own source
                 if name in local_defs:
-                    flag(
+                    report.flag(
                         "pickle-local-def", module.path, lineno,
                         f"{qual} stores locally-defined {name!r} in a "
                         f"worker payload; local functions/classes cannot "
@@ -181,7 +166,7 @@ def check_pickle_safety(
                         "hoist the definition to module level",
                     )
                 elif name in open_handles:
-                    flag(
+                    report.flag(
                         "pickle-open-handle", module.path, lineno,
                         f"{qual} stores open handle {name!r} in a worker "
                         f"payload; handles do not survive the pickle "
@@ -191,7 +176,7 @@ def check_pickle_safety(
                 elif name not in module.functions and name not in module.classes:
                     value = module.globals.get(name)
                     if _is_mutable_global(value):
-                        flag(
+                        report.flag(
                             "pickle-module-state", module.path, lineno,
                             f"{qual} stores module-level mutable {name!r} "
                             f"in a worker payload; the worker receives a "
@@ -216,20 +201,15 @@ def check_pickle_safety(
                     if isinstance(target, ast.Subscript):
                         classify_value(node.value)
 
-    findings.extend(_check_pool_targets(graph, allow, used))
-    return findings
+    _check_pool_targets(graph, report)
+    return report.findings
 
 
-def _check_pool_targets(
-    graph: CallGraph, allow: Sequence, used: Optional[Set]
-) -> List[Finding]:
+def _check_pool_targets(graph: CallGraph, report: Reporter) -> None:
     """Flag unpicklable callables handed to pool dispatch methods."""
-    findings: List[Finding] = []
     for qual in sorted(graph.functions):
         info = graph.functions[qual]
-        module = graph.modules.get(info.module)
-        if module is None:
-            continue
+        module = graph.modules[info.module]
         local_defs = {
             n.name for n in local_nodes(info.node)
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -250,21 +230,11 @@ def _check_pool_targets(
                 problem = f"nested function {target.id!r}"
             if problem is None:
                 continue
-            lineno = getattr(node, "lineno", info.lineno)
-            location = f"{module.path}:{lineno}"
-            message = (
+            report.flag(
+                "pickle-unpicklable-target", module.path,
+                getattr(node, "lineno", info.lineno),
                 f"{qual} dispatches {problem} to "
                 f"{node.func.attr}(); pool targets must be module-level "
-                f"functions to pickle under spawn/forkserver"
-            )
-            if allow_match(
-                allow, module.path, "pickle-unpicklable-target",
-                location, message, used,
-            ):
-                continue
-            findings.append(Finding(
-                "pickle-unpicklable-target", Severity.ERROR, LAYER,
-                location, message,
+                f"functions to pickle under spawn/forkserver",
                 "hoist the target to module level",
-            ))
-    return findings
+            )

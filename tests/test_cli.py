@@ -85,3 +85,27 @@ class TestCommands:
     def test_ensemble_unknown_member_errors(self, capsys):
         rc = main(["ensemble", "--members", "montage,unicorn"])
         assert rc == 2
+
+
+class TestLint:
+    """``repro-flow lint`` runs the lint module's own flags and entry."""
+
+    def test_exit_codes_and_deep_json_report(self, tmp_path, capsys):
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        (clean / "mod.py").write_text("x = 1\n", encoding="utf-8")
+        assert main(["lint", str(clean)]) == 0
+        assert "determinism lint: clean" in capsys.readouterr().out
+
+        report = tmp_path / "out" / "findings.json"
+        assert main(["lint", str(clean), "--deep", "--json", str(report)]) == 0
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        assert doc["schema"] == "repro.staticcheck-findings/v1"
+        assert doc["counts"]["total"] == 0
+
+        dirty = tmp_path / "dirty"
+        dirty.mkdir()
+        (dirty / "mod.py").write_text("import time\nnow = time.time()\n",
+                                      encoding="utf-8")
+        assert main(["lint", str(dirty)]) == 1
+        assert "wall-clock" in capsys.readouterr().out

@@ -11,11 +11,10 @@ worker internals, or the deep passes silently check nothing.
 import os
 import textwrap
 
-from repro.staticcheck.callgraph import (
-    build_callgraph,
-    local_nodes,
-    module_name_for,
-)
+import pytest
+
+from repro.staticcheck.callgraph import build_callgraph, local_nodes
+from repro.staticcheck.source import module_name_for
 
 
 def make_tree(tmp_path, files):
@@ -149,6 +148,12 @@ class TestEdgeResolution:
                 inner()
         """})
         assert "m.outer.inner" in g.callees("m.outer")
+
+    def test_unparsable_file_fails_the_build(self, tmp_path):
+        # A file the graph cannot see would silently drop its edges.
+        make_tree(tmp_path, {"ok.py": "x = 1\n", "bad.py": "def broken(:\n"})
+        with pytest.raises(SyntaxError):
+            build_callgraph([str(tmp_path)])
 
     def test_unknown_receiver_makes_no_edge(self, tmp_path):
         # ``payload.get(...)`` must NOT resolve to some unrelated ``get``.

@@ -14,12 +14,12 @@ import pytest
 
 from repro.staticcheck.lint import (
     DEFAULT_ALLOWLIST,
-    iter_python_files,
     lint_paths,
     lint_source,
     load_allowlist,
     main as lint_main,
 )
+from repro.staticcheck.source import iter_python_files
 
 
 def run_lint(snippet, allow=()):
@@ -308,11 +308,13 @@ class TestAllowlist:
             import time
             now = time.time()
         """
-        assert run_lint(snippet, allow=[("mod.py", "wall-clock")]) == []
+        assert run_lint(snippet, allow=[("mod.py", "wall-clock", None)]) == []
         # Wrong check id does not suppress.
-        assert run_lint(snippet, allow=[("mod.py", "global-random")]) != []
+        assert run_lint(
+            snippet, allow=[("mod.py", "global-random", None)]
+        ) != []
         # Non-matching path does not suppress.
-        assert run_lint(snippet, allow=[("other.py", "wall-clock")]) != []
+        assert run_lint(snippet, allow=[("other.py", "wall-clock", None)]) != []
 
     def test_load_allowlist_parses_and_rejects(self, tmp_path):
         good = tmp_path / "allow.txt"
@@ -408,78 +410,56 @@ class TestStaleAllowlist:
                           "--deep"]) == 1
 
 
-class TestBaseline:
-    def write_baseline(self, tmp_path, entries):
-        import json
+class TestFrontEnd:
+    """The lint and the deep pass read one parse and one alias table."""
 
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "schema": "repro.staticcheck-baseline/v1",
-            "entries": entries,
-        }), encoding="utf-8")
-        return str(path)
+    def test_deep_run_parses_each_file_once(self, tmp_path, monkeypatch):
+        import ast
 
-    def test_baselined_finding_demotes_to_warning(self, tmp_path, capsys):
-        import json
+        (tmp_path / "a.py").write_text("def f():\n    return 1\n",
+                                       encoding="utf-8")
+        (tmp_path / "b.py").write_text(
+            "from a import f\ndef g():\n    return f()\n", encoding="utf-8"
+        )
+        parsed = []
+        real_parse = ast.parse
 
-        target = tmp_path / "mod.py"
-        target.write_text(
-            "def payload(x):\n    return {'fn': lambda: x}\n",
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(os.path.basename(str(filename)))
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert lint_main([str(tmp_path), "--deep",
+                          "--allowlist", os.devnull]) == 0
+        assert sorted(parsed) == ["a.py", "b.py"]
+
+    def test_lint_and_deep_pass_resolve_the_same_imports(self, tmp_path):
+        from repro.staticcheck.callgraph import build_callgraph
+        from repro.staticcheck.flow import check_flow
+
+        # Python refuses both relative imports (no parent package; beyond
+        # the top-level package), so neither pass may read the stdlib
+        # clock into them.
+        root = tmp_path / "m.py"
+        root.write_text(
+            "from .time import time\n"
+            "def execute_sim():\n"
+            "    return time()\n",
             encoding="utf-8",
         )
-        baseline = self.write_baseline(tmp_path, [{
-            "check": "pickle-lambda", "path": "mod.py",
-            "contains": "lambda",
-            "reason": "legacy; burn-down tracked in ISSUE",
-        }])
-        json_out = tmp_path / "f.json"
-        # Without the baseline the deep finding fails the run...
-        assert lint_main([
-            str(target), "--deep",
-            "--allowlist", os.path.join(str(tmp_path), "none.txt"),
-        ]) == 1
-        capsys.readouterr()
-        # ...with it, the finding demotes to a warning (not dropped).
-        rc = lint_main([
-            str(target), "--deep", "--baseline", baseline,
-            "--allowlist", os.path.join(str(tmp_path), "none.txt"),
-            "--json", str(json_out),
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "[baselined]" in out
-        doc = json.loads(json_out.read_text())
-        assert doc["counts"] == {"error": 0, "warning": 1, "total": 1}
-
-    def test_stale_baseline_entry_fails(self, tmp_path, capsys):
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n", encoding="utf-8")
-        baseline = self.write_baseline(tmp_path, [{
-            "check": "taint-flow", "path": "gone.py",
-            "contains": "wall-clock", "reason": "burnt down",
-        }])
-        rc = lint_main([str(target), "--deep", "--baseline", baseline])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "stale baseline entry" in out
-
-    def test_bad_schema_rejected(self, tmp_path):
-        import json
-
-        from repro.staticcheck.lint import load_baseline
-
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": "nope/v9", "entries": []}),
-                        encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-
-    def test_shipped_baseline_is_empty(self):
-        # The deep gate currently has zero legacy debt; anything that
-        # lands in the baseline must be a deliberate burn-down decision.
-        from repro.staticcheck.lint import DEFAULT_BASELINE, load_baseline
-
-        assert load_baseline(DEFAULT_BASELINE) == []
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "__init__.py").write_text("", encoding="utf-8")
+        (tmp_path / "pkg" / "mod.py").write_text(
+            "from ..time import time\n"
+            "def execute_sim():\n"
+            "    return time()\n",
+            encoding="utf-8",
+        )
+        assert lint_paths([str(tmp_path)]) == []
+        graph = build_callgraph([str(tmp_path)])
+        assert check_flow(
+            graph, roots=["m.execute_sim", "pkg.mod.execute_sim"]
+        ) == []
 
 
 class TestExports:
@@ -547,7 +527,7 @@ class TestTreeLint:
 
     def test_src_repro_lints_clean(self):
         findings = lint_paths([self.repro_src()],
-                              allowlist_file=DEFAULT_ALLOWLIST)
+                              allow=load_allowlist(DEFAULT_ALLOWLIST))
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_iter_python_files_expands_and_dedups(self, tmp_path):
