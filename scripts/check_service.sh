@@ -13,6 +13,8 @@
 #   * resubmitting the identical campaign resolves every cell from the
 #     shared result cache, the crashed worker's completions included
 #     (each record is durable before its cell turns terminal);
+#   * after both campaigns the store holds one copy of each submitted
+#     workflow document (the count is in service_smoke.json);
 #   * the server shuts down cleanly on POST /api/stop.
 #
 # Artifacts for CI upload: bench_out/service_smoke.json (checks +

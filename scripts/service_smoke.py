@@ -16,7 +16,8 @@ process and HTTP boundaries:
 5. assert the final records are byte-identical to an uninterrupted
    inline run of the same cells (the service path *is* the campaign
    path), then resubmit the identical campaign and assert every cell
-   resolves from the shared cache (``cached`` state, zero simulations).
+   resolves from the shared cache (``cached`` state, zero simulations)
+   and the store still holds one copy of each workflow document.
 
 Artifacts: a schema-versioned status JSON (checks + metrics) and the
 full store dump, both under ``--work-dir`` for CI upload.
@@ -33,6 +34,7 @@ import json
 import os
 import shutil
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -50,14 +52,24 @@ WAIT_S = 90.0  # per-step deadline: generous for CI, finite for hangs
 def _jobs(n: int, seed: int):
     from repro.experiments.common import make_job, preset_spec
     from repro.workflows.generators import montage
+    from repro.workflows.serialize import workflow_to_dict
 
     cluster = preset_spec("hybrid", nodes=2, cores_per_node=2, gpus_per_node=1)
-    wf = montage(size=10, seed=seed)
+    doc = workflow_to_dict(montage(size=10, seed=seed))
     return [
-        make_job(wf, cluster, scheduler="heft", seed=seed + i, noise_cv=0.1,
+        make_job(doc, cluster, scheduler="heft", seed=seed + i, noise_cv=0.1,
                  label=f"smoke:{i}")
         for i in range(n)
     ]
+
+
+def _stored_documents(store_path: Path) -> int:
+    """How many workflow documents the store holds (read-only query)."""
+    conn = sqlite3.connect(f"file:{store_path}?mode=ro", uri=True)
+    try:
+        return conn.execute("SELECT COUNT(*) FROM workflows").fetchone()[0]
+    finally:
+        conn.close()
 
 
 def _call(port: int, path: str, body=None, timeout: float = 10.0):
@@ -113,7 +125,7 @@ def _serve_port(log_path: Path) -> int:
 
 
 def phase_drive(args) -> int:
-    from repro.runner.hashing import cache_key
+    from repro.runner.hashing import cache_key, workflow_fingerprint
     from repro.runner.pool import CampaignRunner
     from repro.service.wire import submission_to_wire
 
@@ -126,6 +138,7 @@ def phase_drive(args) -> int:
 
     jobs = _jobs(args.cells, args.seed)
     keys = [cache_key(job) for job in jobs]
+    documents = len({workflow_fingerprint(job.workflow) for job in jobs})
 
     # The uninterrupted reference: same cells, plain inline campaign.
     with CampaignRunner(jobs=1) as runner:
@@ -237,6 +250,13 @@ def phase_drive(args) -> int:
             cached == args.cells
         )
         print(f"resubmission: {cached}/{args.cells} cells cache-resolved")
+        # Two campaigns over the same documents: one stored copy each.
+        stored_documents = _stored_documents(store_path)
+        checks["one stored copy per workflow document"] = (
+            stored_documents == documents
+        )
+        print(f"workflow documents: {stored_documents} stored, "
+              f"{documents} submitted")
 
         _status, metrics = _call(port, "/api/metrics")
         _status, final_dump = _call(port, "/api/store")
@@ -261,6 +281,8 @@ def phase_drive(args) -> int:
         "stall_after": args.stall_after,
         "ttl": args.ttl,
         "reclaims": reclaims,
+        "documents_submitted": documents,
+        "documents_stored": stored_documents,
         "checks": {name: bool(ok) for name, ok in checks.items()},
         "metrics": metrics,
         "passed": all(checks.values()),

@@ -34,7 +34,6 @@ from repro.service.store import (
     can_transition,
 )
 from repro.service.wire import (
-    CELL_SCHEMA,
     DUMP_SCHEMA,
     RESPONSE_SCHEMA,
     SUBMIT_SCHEMA,
@@ -43,7 +42,6 @@ from repro.service.wire import (
 
 __all__ = [
     "ALLOWED_TRANSITIONS",
-    "CELL_SCHEMA",
     "CELL_STATES",
     "DUMP_SCHEMA",
     "IllegalTransition",

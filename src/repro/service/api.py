@@ -14,7 +14,7 @@ Endpoints (all responses wear the ``repro.service.response/v1``
 envelope)::
 
     GET  /api/ping                         liveness + logical tick
-    POST /api/campaigns                    submit (submit/v1 body)
+    POST /api/campaigns                    submit (submit/v2 body)
     GET  /api/campaigns                    all campaigns + state counts
     GET  /api/campaigns/<id>               one campaign's status
     GET  /api/campaigns/<id>/cells         its cells (?state= filters)
@@ -23,6 +23,10 @@ envelope)::
     GET  /api/store                        full store dump (CI artifact)
     POST /api/drain                        refuse new submissions
     POST /api/stop                         drain + shut the server down
+
+A ``submit/v2`` body lists each workflow document once and each cell
+names its document by index (:mod:`repro.service.wire`); a body of
+another schema, ``submit/v1`` included, is a 400 naming the expected one.
 
 Error contract: malformed bodies are 400 with the validator's message,
 unknown resources 404, a drained server answers submissions with 503 —

@@ -28,7 +28,9 @@ hands a worker; the transitions themselves live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Tuple
+
+from repro.runner.jobs import SimJob
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class LeasedCell:
 
     campaign_id: str
     key: str
-    job: Dict[str, Any]
+    job: SimJob
     label: str
     attempts: int
 

@@ -45,6 +45,16 @@ store-wide submission order :meth:`JobStore.lease` follows) from one
 ``executemany``.  A store written before the counter existed has it
 seeded from ``MAX(global_seq)`` when it is opened.
 
+**Each workflow document is stored once**: the ``workflows`` table
+keeps it under its content fingerprint
+(:func:`~repro.runner.hashing.workflow_fingerprint`), written in
+:meth:`JobStore.submit`'s transaction, and a cell row names it by that
+key.  :meth:`JobStore.lease` reads each document once per connection
+and hands every cell of one document (and of one cluster spec) the same
+object, so a worker's identity-keyed hashing and workflow memos hit.  A
+row written before the table existed inlines its document, and a lease
+reads it from there.
+
 Completion requires the **current** lease token: a zombie worker whose
 lease was reclaimed (and possibly re-leased) gets ``False`` back and
 its verdict is discarded — the cell's state is whatever the holder of
@@ -58,7 +68,9 @@ clauses) — the shape a postgres port keeps; only the connection setup
 (WAL pragmas, ``?`` placeholders) is sqlite-specific.  Concurrent
 access runs in WAL mode: readers never block the writer, and writing
 transactions are ``BEGIN IMMEDIATE`` so two workers leasing at once
-serialize cleanly instead of deadlocking.  One :class:`JobStore` object
+serialize cleanly instead of deadlocking.  Processes opening one new
+store together wait each other out: the switch to WAL is retried (see
+``_OPEN_RETRY_S``).  One :class:`JobStore` object
 is safe to share across threads (handler threads of the API server): a
 process-level lock serializes statements on the shared connection.
 """
@@ -66,18 +78,27 @@ process-level lock serializes statements on the shared connection.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import sqlite3
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+import time
+from collections import OrderedDict
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.runner.cache import ResultCache
-from repro.runner.hashing import cache_key, digest
+from repro.runner.hashing import (
+    cache_key, canonical_json, digest, workflow_fingerprint,
+)
 from repro.runner.health import DONE, FAILED, QUARANTINED
 from repro.runner.jobs import SimJob
 from repro.service.lease import Lease, LeasedCell, lease_token
-from repro.service.wire import DUMP_SCHEMA, job_to_wire
+from repro.service.wire import (
+    DUMP_SCHEMA, WireError, job_from_wire, job_to_wire,
+)
 
 #: Cell states, in lifecycle order.
 QUEUED = "queued"
@@ -150,6 +171,12 @@ _SCHEMA_STATEMENTS = (
     )
     """,
     """
+    CREATE TABLE IF NOT EXISTS workflows (
+        fp  TEXT PRIMARY KEY,
+        doc TEXT NOT NULL
+    )
+    """,
+    """
     CREATE TABLE IF NOT EXISTS result_cache (
         id   INTEGER PRIMARY KEY CHECK (id = 1),
         root TEXT NOT NULL
@@ -173,6 +200,18 @@ _LEASE_SEQ = "lease_seq"
 #: The last ``global_seq`` handed out.
 _CELL_SEQ = "cell_seq"
 
+#: Opening a new store races every other connection setting the same
+#: file up: sqlite answers the switch to WAL with "database is locked"
+#: at once, without waiting out the busy timeout.  The opener retries it
+#: after sleeps of this length, counted (no clock read) up to the busy
+#: timeout.
+_OPEN_RETRY_S = 0.01
+
+#: After each lease, a connection keeps at most this many bytes (of
+#: JSON text) of the documents and cluster specs it has leased, dropping
+#: the least recently leased first.
+_SHARED_BYTES = 4 << 20
+
 
 class JobStore:
     """Campaign/cell rows with lease-based ownership (see module doc)."""
@@ -193,8 +232,20 @@ class JobStore:
         # The cache this store names, opened on the first record read.
         self._cache: Optional[ResultCache] = None
         self._cache_lock = threading.Lock()
+        # Leased documents and cluster specs by content key: the value
+        # and its JSON size.  See lease().
+        self._shared: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
+        self._shared_bytes = 0
         with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            retries = round(busy_timeout_s / _OPEN_RETRY_S)
+            for attempt in itertools.count():
+                try:
+                    self._conn.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or attempt >= retries:
+                        raise
+                    time.sleep(_OPEN_RETRY_S)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(
                 f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}"
@@ -322,14 +373,22 @@ class JobStore:
         result cache uses — so duplicate cells within a submission
         collapse to one row, and a cell completed by any previous
         campaign resolves as ``cached`` the moment a worker leases it.
-        Returns the campaign id (deterministic: submission counter plus
-        a content digest, no ambient entropy).
+        Each workflow document is stored once, under its content
+        fingerprint (:func:`~repro.runner.hashing.workflow_fingerprint`),
+        and a cell row names it by that key, so a resubmission adds no
+        copy.  Returns the campaign id (deterministic: submission
+        counter plus a content digest, no ambient entropy).
         """
         if not jobs:
             raise StoreError("a campaign needs at least one cell")
-        keyed: Dict[str, SimJob] = {}
+        keyed: Dict[str, Tuple[SimJob, str]] = {}
+        docs: Dict[str, Dict[str, Any]] = {}
         for job in jobs:
-            keyed.setdefault(cache_key(job), job)
+            key = cache_key(job)
+            if key not in keyed:
+                fp = workflow_fingerprint(job.workflow)
+                keyed[key] = (job, fp)
+                docs.setdefault(fp, job.workflow)
         with self._lock, self._txn():
             seq = self._counter(_SUBMIT_SEQ, bump=1)
             now = self._counter(_TICK)
@@ -342,17 +401,27 @@ class JobStore:
                 " cells) VALUES (?, ?, ?, ?, ?)",
                 (campaign_id, name, seq, now, len(keyed)),
             )
-            # A generator, so one encoded job document is alive at a time.
+            # Only documents the store lacks are encoded.
+            new = [
+                fp for fp in docs
+                if self._conn.execute(
+                    "SELECT 1 FROM workflows WHERE fp = ?", (fp,)
+                ).fetchone() is None
+            ]
+            self._conn.executemany(
+                "INSERT OR IGNORE INTO workflows(fp, doc) VALUES (?, ?)",
+                ((fp, canonical_json(docs[fp])) for fp in new),
+            )
             self._conn.executemany(
                 "INSERT INTO cells(campaign_id, cell_key, global_seq,"
                 " state, job, label) VALUES (?, ?, ?, ?, ?, ?)",
                 (
                     (
                         campaign_id, key, base + i, QUEUED,
-                        json.dumps(job_to_wire(job), sort_keys=True),
+                        json.dumps(job_to_wire(job, fp), sort_keys=True),
                         job.label,
                     )
-                    for i, (key, job) in enumerate(keyed.items(), 1)
+                    for i, (key, (job, fp)) in enumerate(keyed.items(), 1)
                 ),
             )
         return campaign_id
@@ -370,6 +439,12 @@ class JobStore:
         serialize on the write lock and the ``WHERE state = 'queued'``
         guard, so a cell can never be assigned to both.  Returns None
         when nothing is queued.  ``ttl`` is in logical ticks.
+
+        The cells' workflow documents and cluster specs are read once
+        per connection: every cell naming one document or an equal spec
+        gets the same object, in this lease and in later ones while the
+        connection keeps it (``_SHARED_BYTES``).  So the worker's
+        identity-keyed hashing and workflow memos hit.
         """
         if limit < 1:
             raise ValueError(f"lease limit must be >= 1, got {limit}")
@@ -405,13 +480,54 @@ class JobStore:
                 cells.append(LeasedCell(
                     campaign_id=row["campaign_id"],
                     key=row["cell_key"],
-                    job=json.loads(row["job"]),
+                    job=self._leased_job(row),
                     label=row["label"],
                     attempts=int(row["attempts"]) + 1,
                 ))
+            # Trimmed after the batch, so all of its cells share.
+            while self._shared_bytes > _SHARED_BYTES:
+                _key, (_value, size) = self._shared.popitem(last=False)
+                self._shared_bytes -= size
             return Lease(
                 token=token, expires_tick=expires, cells=tuple(cells)
             )
+
+    def _leased_job(self, row: sqlite3.Row) -> SimJob:
+        """The cell a leased row describes, its document and cluster
+        spec shared (see :meth:`lease`).  Lock held."""
+        where = f"store cell {row['cell_key']}"
+        cell = json.loads(row["job"])
+        if not isinstance(cell, dict):
+            raise WireError(f"{where}: must be a JSON object")
+        doc = cell.get("workflow")
+        # A fingerprint; a row written before the workflows table
+        # inlines its document instead.
+        if isinstance(doc, str):
+            doc = self._share(doc, lambda: self._document(doc, where))
+        cluster = cell.get("cluster")
+        text = canonical_json(cluster)
+        cell["cluster"] = self._share(text, lambda: (cluster, len(text)))
+        return job_from_wire(cell, doc, where)
+
+    def _document(self, fp: str, where: str) -> Tuple[Any, int]:
+        """A stored workflow document and its JSON size.  Lock held."""
+        row = self._conn.execute(
+            "SELECT doc FROM workflows WHERE fp = ?", (fp,)
+        ).fetchone()
+        if row is None:
+            raise StoreError(f"{where}: no stored workflow document {fp}")
+        return json.loads(row["doc"]), len(row["doc"])
+
+    def _share(self, key: str, load: Callable[[], Tuple[Any, int]]) -> Any:
+        """The object this connection hands out for ``key``; on a miss,
+        ``load()`` gives it and its JSON size.  Lock held."""
+        entry = self._shared.get(key)
+        if entry is None:
+            entry = self._shared[key] = load()
+            self._shared_bytes += entry[1]
+        else:
+            self._shared.move_to_end(key)
+        return entry[0]
 
     def mark_running(self, token: str) -> int:
         """``leased -> running`` for every cell of the lease; count moved."""

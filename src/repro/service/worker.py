@@ -65,7 +65,6 @@ from repro.observe.events import emit_event
 from repro.runner.health import HALT, verdict
 from repro.runner.pool import CampaignHaltedError, CampaignRunner
 from repro.service.store import CACHED, JobStore, Lease
-from repro.service.wire import job_from_wire
 
 #: How long an idle worker waits between polls (seconds; bounded wait,
 #: not a clock *read* — the lease clock is the store's logical tick).
@@ -249,10 +248,7 @@ class ServiceWorker:
         token = lease.token
         self.store.mark_running(token)
         cells = list(lease.cells)
-        jobs = [
-            job_from_wire(cell.job, where=f"store cell {cell.key}")
-            for cell in cells
-        ]
+        jobs = [cell.job for cell in cells]
 
         # The runner is the one reader of cached outcomes, so its hit
         # policy (``retry_failed`` included) holds here as inline;

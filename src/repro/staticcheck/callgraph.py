@@ -187,9 +187,20 @@ def build_callgraph(paths: Sequence[str]) -> CallGraph:
 
 
 def graph_of(modules: Iterable[ModuleInfo]) -> CallGraph:
-    """Resolve call edges over already-parsed modules (in path order)."""
+    """Resolve call edges over already-parsed modules (in path order).
+
+    Raises ``ValueError`` naming both files when two files have one
+    module name: the graph keys modules by name, and Python could not
+    import both under it either.
+    """
     graph = CallGraph()
     for module in modules:
+        seen = graph.modules.get(module.name)
+        if seen is not None:
+            raise ValueError(
+                f"{seen.path} and {module.path} are both module "
+                f"{module.name!r}; the call graph cannot tell them apart"
+            )
         graph.modules[module.name] = module
         _collect_defs(graph, module)
     _resolve_bases(graph)

@@ -84,6 +84,35 @@ class TestInjector:
             inj.task_failure_at(10.0)
         assert inj.task_faults_injected > 0
 
+    def test_fault_free_run_builds_no_fault_stream(self):
+        from repro.core.executor import WorkflowExecutor
+        from repro.core.policies import StaticPolicy
+        from repro.platform import presets
+        from repro.schedulers.base import SchedulingContext
+        from repro.schedulers.heft import HeftScheduler
+        from repro.workflows.generators import montage
+
+        wf = montage(size=10, seed=3)
+        cluster = presets.hybrid_cluster(nodes=2)
+        plan = HeftScheduler().schedule(SchedulingContext(wf, cluster))
+        executor = WorkflowExecutor(wf, cluster, StaticPolicy(plan), seed=5)
+        assert executor.run().success
+        assert not [n for n in executor.rng.names() if n.startswith("faults.")]
+
+    def test_streams_built_on_first_draw_draw_as_if_built_first(self):
+        fm = FaultModel(task_fault_rate=1.0, device_mtbf=10.0)
+        eager = RngStreams(7)
+        task_rng = eager.stream("faults.task")
+        device_rng = eager.stream("faults.device")
+        late = RngStreams(7)
+        late.stream("other").random(3)  # built and drawn from first
+        inj = FaultInjector(fm, late)
+        assert [inj.task_failure_at(2.0) for _ in range(20)] == [
+            fm.draw_task_failure(task_rng, 2.0) for _ in range(20)
+        ]
+        assert inj.plan_device_failures(["a", "b"], 100.0) == \
+            fm.draw_device_failures(device_rng, ["a", "b"], 100.0)
+
 
 class TestRecoveryPolicy:
     def test_defaults_valid(self):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
 import sqlite3
 import sys
 import threading
@@ -83,6 +85,67 @@ def test_submit_queues_each_distinct_cell_once(store):
     assert store.counts(cid)[QUEUED] == 4
 
 
+def _stored_documents(path):
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("SELECT COUNT(*) FROM workflows").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def test_two_campaigns_over_one_document_store_one_copy(tmp_path):
+    """Each document is kept once, under its fingerprint: equal
+    documents in other objects and later campaigns add no copy."""
+    path = str(tmp_path / "docs.db")
+    store = JobStore(path)
+    store.submit("first", _jobs(4, prefix="a"))  # one document per cell
+    store.submit("again", _jobs(3, prefix="b"))  # equal content
+    store.submit("other", _jobs(2, seed=41, prefix="c"))
+    assert _stored_documents(path) == 2
+    store.close()
+
+
+def test_a_lease_shares_each_document_and_cluster_spec(tmp_path):
+    """Cells of one document share one dict, and cells of equal cluster
+    specs one spec dict, in a lease and across this connection's leases."""
+    path = str(tmp_path / "shared.db")
+    store = JobStore(path)
+    store.submit("mix", _jobs(3, seed=11, prefix="a") + _jobs(3, seed=41))
+    first = store.lease("w1", 4, ttl=5)
+    second = store.lease("w1", 4, ttl=5)
+    cells = first.cells + second.cells
+    by_group = {}
+    for cell in cells:
+        by_group.setdefault(cell.label[0], []).append(cell.job.workflow)
+    for docs in by_group.values():
+        assert all(doc is docs[0] for doc in docs)
+    assert by_group["a"][0] is not by_group["s"][0]
+    assert len({id(cell.job.cluster) for cell in cells}) == 1
+    assert cells[0].job.cluster == CLUSTER
+    # Another connection reads its own copies.
+    other = JobStore(path)
+    store.release(first.token)
+    assert other.lease("w2", 1, ttl=5).cells[0].job.workflow is not (
+        by_group["a"][0]
+    )
+    other.close()
+    store.close()
+
+
+def test_a_row_naming_no_stored_document_fails_the_lease(tmp_path):
+    path = str(tmp_path / "broken.db")
+    store = JobStore(path)
+    store.submit("broken", _jobs(1))
+    raw = sqlite3.connect(path)
+    with raw:
+        raw.execute("DELETE FROM workflows")
+    raw.close()
+    with pytest.raises(StoreError, match="no stored workflow document"):
+        store.lease("w1", 1, ttl=5)
+    assert store.counts()[QUEUED] == 1  # the claim rolled back
+    store.close()
+
+
 def test_submit_rejects_empty_campaigns(store):
     with pytest.raises(StoreError):
         store.submit("empty", [])
@@ -132,6 +195,43 @@ def test_change_probe_sees_only_other_connections_commits(tmp_path):
     finally:
         mine.close()
         other.close()
+
+
+def _open_new_stores(directory, trials, barrier):
+    """Open ``trials`` new stores in step with the peers; exit with the
+    number of opens that failed."""
+    failed = 0
+    for trial in range(trials):
+        barrier.wait(timeout=60)
+        try:
+            JobStore(os.path.join(directory, f"new-{trial}.db")).close()
+        except sqlite3.OperationalError:
+            failed += 1
+    sys.exit(failed)
+
+
+def test_processes_opening_one_new_store_together_all_succeed(tmp_path):
+    """Three processes released together open the same new store, 20
+    times over: every open waits out its peers' set-up and succeeds."""
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(3)
+    procs = [
+        context.Process(
+            target=_open_new_stores, args=(str(tmp_path), 20, barrier),
+        )
+        for _ in range(3)
+    ]
+    try:
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0, 0, 0]
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
 
 
 def test_campaign_ids_are_deterministic(tmp_path):

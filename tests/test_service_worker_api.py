@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import sqlite3
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.service.store import (
     QUARANTINED,
     QUEUED,
 )
-from repro.service.wire import submission_to_wire
+from repro.service.wire import parse_submission, submission_to_wire
 from repro.service.worker import ServiceWorker
 from repro.cli import validate_runner_args
 from repro.workflows.generators import montage
@@ -81,6 +83,40 @@ def test_worker_drains_store_with_byte_identical_records(tmp_path):
             == json.dumps(record.to_dict(), sort_keys=True)
         )
     store.close()
+
+
+def test_a_queued_row_in_the_old_shape_runs_with_the_same_bytes(tmp_path):
+    """A store written before the workflows table inlined each cell's
+    document in its row: such a row still leases and runs, and its
+    record has the bytes a fresh submission's record has."""
+    job = _jobs(1, seed=31, prefix="old")[0]
+    records = []
+    for name in ("fresh", "old"):
+        path = str(tmp_path / f"{name}.db")
+        store = JobStore(path)
+        cid = store.submit(name, [job])
+        store.close()
+        if name == "old":
+            raw = sqlite3.connect(path)
+            with raw:
+                raw.execute("DROP TABLE workflows")
+                raw.execute("UPDATE cells SET job = ?", (json.dumps({
+                    "schema": "repro.service.cell/v1",
+                    "workflow": job.workflow, "cluster": job.cluster,
+                    "scheduler": job.scheduler, "config": job.config,
+                    "label": job.label,
+                }, sort_keys=True),))
+            raw.close()
+        store = JobStore(path)
+        runner, worker = _worker(store, tmp_path, "w1", cache=f"cache-{name}")
+        with runner:
+            stats = worker.run(max_polls=40)
+        assert stats.done == 1
+        records.append(json.dumps(
+            store.cell(cid, cache_key(job))["result"], sort_keys=True,
+        ))
+        store.close()
+    assert records[0] == records[1]
 
 
 def test_resubmission_resolves_from_the_shared_cache(tmp_path):
@@ -392,6 +428,55 @@ def test_api_submit_query_and_errors(served, tmp_path):
     assert status == 200 and body["counts"][QUEUED] == 3
     status, body = _call(port, "/api/store")
     assert status == 200 and len(body["dump"]["cells"]) == 3
+
+
+def test_a_submission_lists_each_document_once():
+    """Cells of one document object share one ``workflows`` entry, and
+    parsing hands them one dict again."""
+    first = _jobs(3)
+    jobs = [replace(job, workflow=first[0].workflow) for job in first]
+    jobs += _jobs(2, seed=29)  # a document object per cell
+    body = submission_to_wire("docs", jobs)
+    assert len(body["workflows"]) == 3
+    assert [c["workflow"] for c in body["cells"]] == [0, 0, 0, 1, 2]
+    name, parsed = parse_submission(json.loads(json.dumps(body)))
+    assert name == "docs"
+    assert parsed[0].workflow is parsed[1].workflow is parsed[2].workflow
+    assert parsed[3].workflow is not parsed[4].workflow
+    assert [cache_key(job) for job in parsed] == [
+        cache_key(job) for job in jobs
+    ]
+
+
+def _broken(body, fix):
+    fix(body)
+    return body
+
+
+@pytest.mark.parametrize("fix, fragment", [
+    (lambda b: b.update(
+        schema="repro.service.submit/v1",
+        cells=[{**c, "workflow": b["workflows"][0]} for c in b["cells"]],
+    ), "expected schema 'repro.service.submit/v2'"),
+    (lambda b: b.pop("workflows"), "missing required field 'workflows'"),
+    (lambda b: b["workflows"].append([1]), "workflows[1]: must be a JSON object"),
+    (lambda b: b["cells"][1].update(workflow=1), "cells[1]: field 'workflow'"),
+    (lambda b: b["cells"][0].update(workflow=-1), "cells[0]: field 'workflow'"),
+    (lambda b: b["cells"][0].update(workflow=True), "cells[0]: field 'workflow'"),
+    (lambda b: b["cells"][0].update(workflow="0"), "cells[0]: field 'workflow'"),
+], ids=[
+    "v1-body", "no-workflows", "document-not-object", "index-out-of-range",
+    "negative-index", "bool-index", "string-index",
+])
+def test_api_rejects_a_malformed_submission_naming_the_field(
+    served, fix, fragment
+):
+    store, port = served
+    jobs = _jobs(2)
+    body = submission_to_wire("bad", [jobs[0], jobs[0]])
+    status, reply = _call(port, "/api/campaigns", _broken(body, fix))
+    assert status == 400 and fragment in reply["error"]
+    assert store.campaigns() == []
 
 
 def test_kept_alive_connection_replies_without_delay(served):

@@ -155,6 +155,23 @@ class TestEdgeResolution:
         with pytest.raises(SyntaxError):
             build_callgraph([str(tmp_path)])
 
+    def test_two_files_with_one_module_name_fail_the_build(self, tmp_path):
+        # Keyed by name, the second m.py would take the first one's
+        # findings (its pickle-lambda was reported at b/m.py).
+        make_tree(tmp_path, {
+            "a/m.py": "def payload(x):\n    return {'fn': lambda: x}\n",
+            "b/m.py": "def unrelated():\n    return 1\n",
+        })
+        from repro.staticcheck.lint import main as lint_main
+
+        paths = [str(tmp_path / "a"), str(tmp_path / "b")]
+        with pytest.raises(ValueError) as excinfo:
+            lint_main(paths + ["--deep", "--allowlist", "/dev/null"])
+        message = str(excinfo.value)
+        assert "a/m.py" in message and "b/m.py" in message
+        # Each file alone is one module: the lambda is reported where it is.
+        assert lint_main(paths[:1] + ["--deep", "--allowlist", "/dev/null"]) == 1
+
     def test_unknown_receiver_makes_no_edge(self, tmp_path):
         # ``payload.get(...)`` must NOT resolve to some unrelated ``get``.
         g = graph_for(tmp_path, {"m.py": """
