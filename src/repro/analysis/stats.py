@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -151,18 +151,3 @@ class StreamingGeomean:
         if self.n == 0:
             raise ValueError("cannot take the geometric mean of nothing")
         return math.exp(self._log_sum / self.n)
-
-
-def normalized_to(values: Dict[str, float], reference: str) -> Dict[str, float]:
-    """Normalize a metric dict to one of its keys (reference -> 1.0)."""
-    if reference not in values:
-        raise KeyError(f"reference {reference!r} not among {sorted(values)}")
-    ref = values[reference]
-    if ref == 0:
-        raise ValueError("reference value is zero")
-    return {k: v / ref for k, v in values.items()}
-
-
-def rank_order(values: Dict[str, float], ascending: bool = True) -> List[str]:
-    """Keys sorted by value (ties broken by key for determinism)."""
-    return sorted(values, key=lambda k: (values[k] if ascending else -values[k], k))

@@ -41,13 +41,11 @@ class AdaptivePolicy(ExecutionPolicy):
         planner: Optional[Scheduler] = None,
         drift_threshold: float = 0.10,
         max_replans: int = 50,
-        allow_stealing: bool = True,
         steal_tolerance: float = 1.5,
     ) -> None:
         self.planner = planner or HdwsScheduler()
         self.drift_threshold = drift_threshold
         self.max_replans = max_replans
-        self.allow_stealing = allow_stealing
         self.steal_tolerance = steal_tolerance
         self.replans = 0
         self.steals = 0
@@ -107,10 +105,7 @@ class AdaptivePolicy(ExecutionPolicy):
                 decisions.append((head, device, self._dvfs.get(head)))
                 claimed_devices.add(uid)
                 claimed_tasks.add(head)
-        if self.allow_stealing:
-            decisions.extend(
-                self._steal(executor, claimed_devices, claimed_tasks)
-            )
+        decisions.extend(self._steal(executor, claimed_devices, claimed_tasks))
         decisions.extend(self._rescue_orphans(executor, decisions))
         return decisions
 

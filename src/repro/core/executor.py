@@ -68,15 +68,6 @@ DONE = "done"
 DEAD = "dead"  # retry budget exhausted
 
 
-def _env_sanitize() -> bool:
-    """Whether REPRO_SANITIZE asks for always-on invariant checking."""
-    import os
-
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
 @dataclass
 class TaskRecord:
     """Execution history of one task.
@@ -229,7 +220,9 @@ class WorkflowExecutor:
         self._preemptions = 0
 
         if sanitize is None:
-            sanitize = _env_sanitize()
+            from repro.observe import env_flag
+
+            sanitize = env_flag("REPRO_SANITIZE")
         self.sanitizer = None
         if sanitize:
             from repro.sanitizer import Sanitizer

@@ -35,15 +35,6 @@ from repro.workflows.graph import Workflow
 MODES = ("static", "dynamic", "adaptive")
 
 
-def _env_precheck() -> bool:
-    """Whether REPRO_PRECHECK asks for always-on static prechecking."""
-    import os
-
-    return os.environ.get("REPRO_PRECHECK", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
 @dataclass
 class RunConfig:
     """Everything that parameterizes one run.
@@ -219,7 +210,12 @@ class Orchestrator:
         cluster.reset()
         cluster.execution_model.noise_cv = cfg.noise_cv
 
-        precheck = cfg.precheck if cfg.precheck is not None else _env_precheck()
+        from repro.observe import clock, env_flag, env_metrics
+
+        precheck = (
+            cfg.precheck if cfg.precheck is not None
+            else env_flag("REPRO_PRECHECK")
+        )
         if precheck:
             from repro.staticcheck import check_run
 
@@ -230,8 +226,6 @@ class Orchestrator:
 
         # Build the registry here (not in the executor) so scheduler
         # planning wall-time profiles into the same snapshot.
-        from repro.observe import clock, env_metrics
-
         want_metrics = (
             cfg.metrics if cfg.metrics is not None else env_metrics()
         )

@@ -4,8 +4,8 @@ The executor (mechanism) consults a policy (decision maker) whenever state
 changes.  Three families:
 
 * :class:`StaticPolicy` — follow a precomputed :class:`Schedule` in plan
-  order, with optional *repair* when devices die (queued tasks of a dead
-  device are redistributed).  Plan-order dispatch is deadlock-free even
+  order, with *repair* when devices die (queued tasks of a dead device
+  are redistributed).  Plan-order dispatch is deadlock-free even
   under runtime noise: per-device plan order is consistent with a global
   schedule, so any circular wait would contradict the plan's own
   start/finish ordering.
@@ -52,9 +52,8 @@ class ExecutionPolicy(abc.ABC):
 class StaticPolicy(ExecutionPolicy):
     """Execute a precomputed schedule in plan order (with repair)."""
 
-    def __init__(self, schedule: Schedule, repair: bool = True) -> None:
+    def __init__(self, schedule: Schedule) -> None:
         self.schedule = schedule
-        self.repair = repair
         self._queues: Dict[str, List[str]] = {}
         self._dvfs = dict(schedule.dvfs_choice)
         self._uids: List[str] = []
@@ -142,15 +141,11 @@ class StaticPolicy(ExecutionPolicy):
                     break
 
     def on_device_failure(self, executor, device: Device) -> None:
-        """Redistribute the dead device's remaining queue (if repairing)."""
+        """Redistribute the dead device's remaining queue."""
         dead_queue = self._queues.pop(device.uid, [])
         self._uids = sorted(self._queues)
         self._queued.difference_update(dead_queue)
         if not dead_queue:
-            return
-        if not self.repair:
-            # Tasks stay unqueued and will never dispatch; the run fails
-            # visibly rather than silently rerouting.
             return
         load: Dict[str, float] = {
             uid: sum(
@@ -208,19 +203,14 @@ class DynamicMctPolicy(ExecutionPolicy):
         self,
         context: SchedulingContext,
         locality_aware: bool = False,
-        ranked: bool = True,
     ) -> None:
         self.locality_aware = locality_aware
-        self.ranked = ranked
         self._context = context
         self._ranks: Dict[str, float] = {}
 
     def prepare(self, executor) -> None:
         """Precompute task priorities."""
-        if self.ranked:
-            self._ranks = self._context.upward_ranks()
-        else:
-            self._ranks = {n: 0.0 for n in executor.workflow.tasks}
+        self._ranks = self._context.upward_ranks()
 
     def select(self, executor) -> List[Decision]:
         """Greedy match of ready tasks to free devices.

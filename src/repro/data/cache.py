@@ -39,11 +39,6 @@ class NodeStore:
         """Bytes currently stored."""
         return sum(self._files.values())
 
-    @property
-    def free_mb(self) -> float:
-        """Remaining capacity."""
-        return self.capacity_mb - self.used_mb
-
     def has(self, file_name: str) -> bool:
         """Whether the file is resident."""
         return file_name in self._files

@@ -58,10 +58,6 @@ class ReplicaCatalog:
             f for f, locs in self._locations.items() if location in locs
         )
 
-    def replica_count(self, file_name: str) -> int:
-        """Number of replicas of the file."""
-        return len(self._locations.get(file_name, set()))
-
     def clear(self) -> None:
         """Drop every record."""
         self._locations.clear()

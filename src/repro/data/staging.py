@@ -31,11 +31,6 @@ class StagingDecision:
     size_mb: float
     cost: float
 
-    @property
-    def is_local(self) -> bool:
-        """True when no movement is needed."""
-        return self.source == self.destination
-
 
 def choose_source(
     catalog: ReplicaCatalog,

@@ -75,7 +75,7 @@ def suite_workflows(
     }
 
 
-def default_cluster(seed_independent: bool = True) -> Cluster:
+def default_cluster() -> Cluster:
     """The mixed CPU+GPU evaluation platform (4 nodes, 4 CPU + 1 GPU each)."""
     return presets.hybrid_cluster(nodes=4, cores_per_node=4, gpus_per_node=1)
 
@@ -185,8 +185,8 @@ def stream_sims(jobs: List[SimJob]) -> Iterator["tuple[int, SimRecord]"]:
     The O(1)-memory path for campaigns too large to hold as record
     lists: records are yielded as the pool completes them (reordered to
     submission order), so callers can fold them into streaming
-    aggregates (:mod:`repro.analysis.stats`) or an on-disk shard sink
-    (:mod:`repro.runner.shards`) while later cells still simulate.
+    aggregates (:mod:`repro.analysis.stats`) while later cells still
+    simulate.
     """
     return get_runner().run_sims_ordered(jobs)
 

@@ -3,9 +3,9 @@
 Drives the streaming million-cell path end to end: cells are described
 batch by batch, dispatched through the persistent worker pool, and the
 records stream back in submission order into O(1)-memory Welford
-aggregates (:class:`~repro.analysis.stats.StreamingSummary`) and an
-optional on-disk JSONL shard sink — the campaign never exists as an
-in-memory list of records, so peak memory is flat in the cell count.
+aggregates (:class:`~repro.analysis.stats.StreamingSummary`) — the
+campaign never exists as an in-memory list of records, so peak memory
+is flat in the cell count.
 
 Sizing: ``quick`` runs 512 cells (CI-friendly); the full run takes its
 cell count from ``REPRO_SCALE_CELLS`` (default 100 000).  Because every
@@ -30,7 +30,6 @@ from repro.analysis.stats import StreamingGeomean, StreamingSummary
 from repro.experiments.common import ExperimentResult, make_job, stream_sims
 from repro.platform import presets
 from repro.runner.context import get_runner
-from repro.runner.shards import ShardWriter
 from repro.runner.specs import factory_spec
 from repro.workflows.generators import random_dag
 from repro.workflows.serialize import workflow_to_dict
@@ -58,16 +57,10 @@ def run(
     seed: int = 0,
     noise_cv: float = 0.05,
     cells: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    shard_dir: Optional[str] = None,
 ) -> ExperimentResult:
-    """Run the X4 streaming scale campaign; throughput + aggregate stats.
-
-    ``shard_dir`` (optional) streams every ``(index, record)`` pair into
-    a rotating JSONL shard sink as cells complete.
-    """
+    """Run the X4 streaming scale campaign; throughput + aggregate stats."""
     n_cells = _target_cells(quick, cells)
-    per_batch = max(1, batch_size or (128 if quick else 1024))
+    per_batch = 128 if quick else 1024
 
     docs = [
         workflow_to_dict(random_dag(size=8, seed=seed + k))
@@ -90,33 +83,26 @@ def run(
     sample_every = max(1, n_batches // 64)
     running: Dict[float, float] = {}
 
-    sink = ShardWriter(shard_dir) if shard_dir else None
     t0 = time.perf_counter()
-    try:
-        for b in range(n_batches):
-            start = b * per_batch
-            count = min(per_batch, n_cells - start)
-            doc = docs[b % N_DOCS]
-            jobs = [
-                make_job(
-                    doc, cluster, scheduler="heft",
-                    seed=seed + start + i, noise_cv=noise_cv,
-                    label=f"x4:b{b}:{i}",
-                )
-                for i in range(count)
-            ]
-            for i, record in stream_sims(jobs):
-                makespan.add(record.makespan)
-                energy.add(record.energy_j)
-                geomean.add(record.makespan)
-                successes += int(record.success)
-                if sink is not None:
-                    sink.append(start + i, record.to_dict())
-            if b % sample_every == 0:
-                running[float(b)] = makespan.mean
-    finally:
-        if sink is not None:
-            sink.close()
+    for b in range(n_batches):
+        start = b * per_batch
+        count = min(per_batch, n_cells - start)
+        doc = docs[b % N_DOCS]
+        jobs = [
+            make_job(
+                doc, cluster, scheduler="heft",
+                seed=seed + start + i, noise_cv=noise_cv,
+                label=f"x4:b{b}:{i}",
+            )
+            for i in range(count)
+        ]
+        for _i, record in stream_sims(jobs):
+            makespan.add(record.makespan)
+            energy.add(record.energy_j)
+            geomean.add(record.makespan)
+            successes += int(record.success)
+        if b % sample_every == 0:
+            running[float(b)] = makespan.mean
     wall = time.perf_counter() - t0
 
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -134,6 +120,5 @@ def run(
             "makespan": makespan.result().as_dict(),
             "makespan_geomean": geomean.result(),
             "energy_j_mean": energy.result().mean,
-            "sharded": sink.written if sink is not None else 0,
         },
     )

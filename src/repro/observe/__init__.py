@@ -10,8 +10,8 @@
 * :class:`SpanTracer` / :func:`spans_from_trace` — structured spans with
   parent/child nesting and exact virtual-time + wall-time stamps,
   layered on the :class:`~repro.sim.trace.TraceRecorder` hooks.
-* :func:`chrome_trace` / :func:`device_gantt` — Chrome ``trace_event``
-  JSON for chrome://tracing / Perfetto, and a per-device text Gantt.
+* :func:`chrome_trace` — Chrome ``trace_event`` JSON for
+  chrome://tracing / Perfetto.
 * :func:`emit_event` / :func:`events_snapshot` — a bounded structured
   event log for control-plane decisions (health-gate trips, batch
   admissions), exported into campaign artifacts so a tripped gate is
@@ -38,7 +38,7 @@ from repro.observe.events import (
     events_snapshot,
     recent_events,
 )
-from repro.observe.export import chrome_trace, device_gantt, write_json
+from repro.observe.export import chrome_trace, write_json
 from repro.observe.metrics import (
     Counter,
     DEFAULT_BUCKETS,
@@ -64,9 +64,9 @@ __all__ = [
     "chrome_trace",
     "clear_events",
     "clock",
-    "device_gantt",
     "elapsed",
     "emit_event",
+    "env_flag",
     "env_metrics",
     "events_snapshot",
     "recent_events",
@@ -75,8 +75,18 @@ __all__ = [
 ]
 
 
-def env_metrics() -> bool:
-    """Whether ``REPRO_METRICS`` asks for always-on metrics collection."""
-    return os.environ.get("REPRO_METRICS", "").strip().lower() in (
+def env_flag(name: str) -> bool:
+    """Whether the opt-in environment switch ``name`` is on.
+
+    ``1``, ``true``, ``yes`` and ``on`` (any case) turn it on; anything
+    else, or no variable, leaves it off.  ``REPRO_METRICS``,
+    ``REPRO_SANITIZE`` and ``REPRO_PRECHECK`` all read through here.
+    """
+    return os.environ.get(name, "").strip().lower() in (
         "1", "true", "yes", "on",
     )
+
+
+def env_metrics() -> bool:
+    """Whether ``REPRO_METRICS`` asks for always-on metrics collection."""
+    return env_flag("REPRO_METRICS")

@@ -1,6 +1,6 @@
-"""Exporters: Chrome trace-event JSON, per-device text Gantt, snapshots.
+"""Exporters: Chrome trace-event JSON and snapshots.
 
-Three output formats, all derived from :class:`~repro.observe.spans.Span`
+Two output formats, derived from :class:`~repro.observe.spans.Span`
 lists or :class:`~repro.observe.metrics.MetricsRegistry` snapshots:
 
 * :func:`chrome_trace` — the Chrome ``trace_event`` JSON object format.
@@ -8,10 +8,6 @@ lists or :class:`~repro.observe.metrics.MetricsRegistry` snapshots:
   scrub a run's timeline: one named thread per track (device, network
   link, logical lane), complete events with microsecond virtual-time
   stamps, span attributes in ``args``.
-* :func:`device_gantt` — a fixed-width text timeline (one row per
-  track) for terminals and test logs; like
-  :func:`repro.analysis.gantt.ascii_gantt` but span-based, so it also
-  shows staging and transfer lanes.
 * :func:`write_json` — tiny helper the CLI uses for ``--metrics-out`` /
   ``--trace-out``.
 """
@@ -78,51 +74,6 @@ def chrome_trace(
     if metadata:
         doc["metadata"] = dict(metadata)
     return doc
-
-
-def device_gantt(
-    spans: Sequence[Span],
-    width: int = 72,
-    names: bool = True,
-) -> str:
-    """Render spans as a fixed-width text timeline, one row per track.
-
-    Only top-level spans (no parent) paint their lane — children would
-    just overdraw the same interval.  Point spans render as ``!``.
-    """
-    top = [s for s in spans if s.parent is None]
-    if not top:
-        return "(no spans)"
-    horizon = max(
-        (s.end if s.end is not None else s.start) for s in top
-    )
-    if horizon <= 0:
-        return "(zero-length timeline)"
-
-    tracks: Dict[str, List[Span]] = {}
-    for span in top:
-        tracks.setdefault(span.track, []).append(span)
-    label_width = max(len(t) for t in tracks)
-
-    lines = [f"{'track'.ljust(label_width)} |time -> {horizon:.3f}s"]
-    for track in sorted(tracks):
-        row = [" "] * width
-        for span in sorted(tracks[track], key=lambda s: (s.start, s.sid)):
-            end = span.end if span.end is not None else span.start
-            a = int(span.start / horizon * (width - 1))
-            if end <= span.start:
-                row[min(a, width - 1)] = "!"
-                continue
-            b = min(width, max(a + 1, int(end / horizon * (width - 1)) + 1))
-            span_width = b - a
-            label = ""
-            if names:
-                label = span.name.replace("task ", "")[: max(0, span_width - 2)]
-            fill = ("=" + label + "=" * span_width)[:span_width]
-            for i, ch in enumerate(fill):
-                row[a + i] = ch
-        lines.append(f"{track.ljust(label_width)} |{''.join(row)}|")
-    return "\n".join(lines)
 
 
 def write_json(path: str, payload: Dict[str, Any]) -> None:

@@ -66,11 +66,6 @@ class Gauge:
         """Record the current value."""
         self.value = float(value)
 
-    def set_max(self, value: float) -> None:
-        """Keep the running maximum of the observed values."""
-        if value > self.value:
-            self.value = float(value)
-
 
 class Histogram:
     """Fixed-bucket histogram with sum/count/min/max sidecars.

@@ -84,14 +84,6 @@ class Cluster:
         """Every device of the given class."""
         return [d for d in self.devices if d.device_class == device_class]
 
-    def device_classes(self) -> List[DeviceClass]:
-        """Distinct device classes present, in discovery order."""
-        seen: List[DeviceClass] = []
-        for d in self.devices:
-            if d.device_class not in seen:
-                seen.append(d.device_class)
-        return seen
-
     def alive_devices(self) -> List[Device]:
         """Devices that have not suffered a permanent fault."""
         return [d for d in self.devices if not d.failed]

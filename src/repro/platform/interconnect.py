@@ -169,17 +169,3 @@ class Interconnect:
     def core_link(self) -> Optional[Link]:
         """The shared backplane link for switched fabrics, if present."""
         return self._links.get(("<core>", "<core>"))
-
-    def reserve_switched(
-        self, src: str, dst: str, earliest: float, size_mb: float
-    ) -> Tuple[float, float]:
-        """Reservation that also queues on the core backplane when present."""
-        if src == dst:
-            return earliest, earliest
-        start, end = self.reserve(src, dst, earliest, size_mb)
-        core = self.core_link()
-        if core is not None:
-            cstart, cend = core.reserve(start, size_mb)
-            if cend > end:
-                end = cend
-        return start, end

@@ -106,20 +106,6 @@ class ExecutionModel:
             noise = self._noise = (cv,) + _lognormal_params(cv)
         return base * float(rng.lognormal(mean=noise[1], sigma=noise[2]))
 
-    def best_estimate(self, task, specs) -> float:
-        """Best (minimum) estimate over an iterable of eligible specs."""
-        times = [self.estimate(task, s) for s in specs if self.eligible(task, s)]
-        if not times:
-            raise ValueError(f"task {task.name!r} is eligible on no given device")
-        return min(times)
-
-    def mean_estimate(self, task, specs) -> float:
-        """Mean estimate over eligible specs (the classical HEFT w-bar)."""
-        times = [self.estimate(task, s) for s in specs if self.eligible(task, s)]
-        if not times:
-            raise ValueError(f"task {task.name!r} is eligible on no given device")
-        return float(np.mean(times))
-
 
 def _lognormal_params(cv: float) -> tuple:
     """``(mu, sigma)`` of the unit-mean lognormal with variation ``cv``."""

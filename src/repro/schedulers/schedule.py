@@ -120,10 +120,6 @@ class Schedule:
         """Device uid the task was placed on."""
         return self.assignments[task].device
 
-    def finish_of(self, task: str) -> float:
-        """Planned finish time of a task."""
-        return self.assignments[task].finish
-
     @property
     def makespan(self) -> float:
         """Planned overall completion time (0 for an empty schedule)."""

@@ -50,6 +50,15 @@ from repro.service.wire import WireError, parse_submission, response
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
+def _refuse_constant(name: str) -> Any:
+    """``json.loads`` hook for ``NaN``, ``Infinity`` and ``-Infinity``.
+
+    Python's parser accepts them, but JSON has no such numbers and the
+    canonical encoding behind every cache key refuses them.
+    """
+    raise WireError(f"request body is not valid JSON: {name} is not a number")
+
+
 class ServiceServer(ThreadingHTTPServer):
     """The HTTP server plus the shared service state handlers use."""
 
@@ -110,7 +119,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
             )
         raw = self.rfile.read(length)
         try:
-            return json.loads(raw.decode("utf-8"))
+            return json.loads(
+                raw.decode("utf-8"), parse_constant=_refuse_constant
+            )
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WireError(f"request body is not valid JSON: {exc}")
 

@@ -154,20 +154,6 @@ class IntervalIndex:
                 out.append((s, e, t))
         return out
 
-    def free_gaps(self, horizon: float) -> List[Tuple[float, float]]:
-        """Idle ``(start, end)`` stretches in ``[0, horizon]``."""
-        gaps: List[Tuple[float, float]] = []
-        cursor = 0.0
-        for s, e, _t in self._intervals:
-            if s > cursor:
-                gaps.append((cursor, min(s, horizon)))
-            cursor = max(cursor, e)
-            if cursor >= horizon:
-                break
-        if cursor < horizon:
-            gaps.append((cursor, horizon))
-        return [(s, e) for s, e in gaps if e > s]
-
 
 def max_overlap(intervals: Iterable[Tuple[float, float]]) -> int:
     """Peak number of simultaneously open ``(start, end)`` intervals.

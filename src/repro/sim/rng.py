@@ -13,7 +13,7 @@ seed using ``numpy.random.SeedSequence`` spawning, so
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -69,19 +69,3 @@ class RngStreams:
             np.random.SeedSequence([self._seed, int(index)]).generate_state(1)[0]
         )
         return RngStreams(child_seed)
-
-
-def choice_weighted(
-    rng: np.random.Generator, items: Iterable, weights: Iterable[float]
-):
-    """Draw one item with the given (not necessarily normalized) weights."""
-    items = list(items)
-    w = np.asarray(list(weights), dtype=float)
-    if len(items) != len(w):
-        raise ValueError("items and weights must have equal length")
-    if len(items) == 0:
-        raise ValueError("cannot choose from an empty sequence")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    return items[int(rng.choice(len(items), p=w / total))]

@@ -80,6 +80,9 @@ class FunctionInfo:
     node: ast.AST
     cls: Optional[str] = None  # owning class qualname, if a method
     is_generator: bool = False
+    #: The body's :func:`local_nodes`, walked once when the graph is
+    #: built; every pass reads this list instead of walking again.
+    nodes: List[ast.AST] = field(default_factory=list)
 
 
 @dataclass
@@ -161,7 +164,7 @@ class CallGraph:
     def function_nodes(self, qualname: str) -> Iterator[ast.AST]:
         """The AST nodes local to one function (see :func:`local_nodes`)."""
         info = self.functions.get(qualname)
-        return iter(()) if info is None else local_nodes(info.node)
+        return iter(()) if info is None else iter(info.nodes)
 
     def method_on(self, class_qual: str, method: str) -> Optional[str]:
         """Resolve a method through the class's static base chain."""
@@ -218,16 +221,17 @@ def _collect_defs(graph: CallGraph, module: ModuleInfo) -> None:
 
     def add_function(node, scope: str, cls: Optional[str]) -> None:
         qual = f"{scope}.{node.name}" if scope else node.name
+        nodes = list(local_nodes(node))
         graph.functions[qual] = FunctionInfo(
             qualname=qual, module=module.name, name=node.name,
             path=module.path, lineno=node.lineno, node=node, cls=cls,
             is_generator=any(
-                isinstance(n, (ast.Yield, ast.YieldFrom))
-                for n in local_nodes(node)
+                isinstance(n, (ast.Yield, ast.YieldFrom)) for n in nodes
             ),
+            nodes=nodes,
         )
         # Nested defs are functions in their own right.
-        for child in local_nodes(node):
+        for child in nodes:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 add_function(child, qual, None)
             elif isinstance(child, ast.ClassDef):
@@ -317,11 +321,10 @@ def _edges_for_function(
     # Local variables whose constructor class is statically known.
     local_types: Dict[str, str] = {}
 
-    nodes = list(local_nodes(fn.node))
-    for node in nodes:
+    for node in fn.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             local_defs[node.name] = f"{fn.qualname}.{node.name}"
-    for node in nodes:
+    for node in fn.nodes:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             resolved = resolve_symbol(
                 graph, module, node.value.func, local_defs
@@ -336,7 +339,7 @@ def _edges_for_function(
             edges.append((callee, lineno))
             graph.callers.setdefault(callee, []).append(fn.qualname)
 
-    for node in nodes:
+    for node in fn.nodes:
         if not isinstance(node, ast.Call):
             continue
         lineno = getattr(node, "lineno", fn.lineno)

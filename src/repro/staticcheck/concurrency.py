@@ -48,7 +48,6 @@ from repro.runner.health import FAILURE_TAXONOMY
 from repro.staticcheck.callgraph import (
     CallGraph,
     FunctionInfo,
-    local_nodes,
     param_names,
     resolve_symbol,
 )
@@ -134,7 +133,7 @@ def _local_bindings(info: FunctionInfo) -> Set[str]:
             if isinstance(node, ast.Name):
                 bound.add(node.id)
 
-    for node in local_nodes(info.node):
+    for node in info.nodes:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -171,7 +170,7 @@ def _state_mutations(
     info = graph.functions[qual]
     module = graph.modules[info.module]
     declared_global: Set[str] = set()
-    for node in local_nodes(info.node):
+    for node in info.nodes:
         if isinstance(node, ast.Global):
             declared_global.update(node.names)
     local = _local_bindings(info) - declared_global
@@ -186,7 +185,7 @@ def _state_mutations(
             return node.id
         return None
 
-    for node in local_nodes(info.node):
+    for node in info.nodes:
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (
                 node.targets if isinstance(node, ast.Assign)
@@ -284,7 +283,7 @@ def _mentions_lock(expr: ast.AST) -> bool:
 def _lock_guarded_ranges(info: FunctionInfo) -> List[Tuple[int, int]]:
     """Line ranges of ``with`` blocks whose context names a lock."""
     ranges: List[Tuple[int, int]] = []
-    for node in local_nodes(info.node):
+    for node in info.nodes:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             if any(_mentions_lock(item.context_expr) for item in node.items):
                 ranges.append(
@@ -362,7 +361,7 @@ def _dispatching_functions(graph: CallGraph) -> Set[str]:
 
 def _has_cleanup_path(info: FunctionInfo) -> bool:
     """try/finally or ``with closing(...)`` anywhere in the body."""
-    for node in local_nodes(info.node):
+    for node in info.nodes:
         if isinstance(node, ast.Try) and node.finalbody:
             return True
         if isinstance(node, (ast.With, ast.AsyncWith)):

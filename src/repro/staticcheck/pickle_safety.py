@@ -40,7 +40,6 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 from repro.staticcheck.callgraph import (
     CallGraph,
     FunctionInfo,
-    local_nodes,
     param_names,
 )
 from repro.staticcheck.findings import Finding
@@ -93,7 +92,7 @@ def _function_locals(info: FunctionInfo) -> Tuple[Set[str], Set[str], Set[str]]:
     """(nested def/class names, open-handle locals, parameter names)."""
     local_defs: Set[str] = set()
     open_handles: Set[str] = set()
-    for node in local_nodes(info.node):
+    for node in info.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             local_defs.add(node.name)
         elif isinstance(node, ast.Assign) and _is_open_call(node.value):
@@ -193,7 +192,7 @@ def check_pickle_safety(
                     if value is not None:
                         classify_value(value)
 
-        for node in local_nodes(info.node):
+        for node in info.nodes:
             if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
                 classify_value(node.value)
             elif isinstance(node, ast.Assign):
@@ -211,7 +210,7 @@ def _check_pool_targets(graph: CallGraph, report: Reporter) -> None:
         info = graph.functions[qual]
         module = graph.modules[info.module]
         local_defs = {
-            n.name for n in local_nodes(info.node)
+            n.name for n in info.nodes
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         for node in graph.function_nodes(qual):

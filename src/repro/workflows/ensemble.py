@@ -80,13 +80,3 @@ def member_tasks(merged: Workflow, member_id: str) -> List[str]:
     """All task names of one member inside a merged workflow."""
     prefix = member_id + SEP
     return [n for n in merged.tasks if n.startswith(prefix)]
-
-
-def member_ids(merged: Workflow) -> List[str]:
-    """Distinct member ids of a merged workflow, in first-seen order."""
-    seen: List[str] = []
-    for n in merged.tasks:
-        member, _rest = split_member(n)
-        if member not in seen:
-            seen.append(member)
-    return seen

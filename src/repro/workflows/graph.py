@@ -112,10 +112,6 @@ class Workflow:
         """Name of the task producing ``file_name`` (None for initial files)."""
         return self._producer.get(file_name)
 
-    def consumers_of(self, file_name: str) -> List[str]:
-        """Names of tasks consuming ``file_name``, in insertion order."""
-        return [t.name for t in self.tasks.values() if file_name in t.inputs]
-
     def graph(self) -> nx.DiGraph:
         """The derived dependency DiGraph (cached until mutation).
 

@@ -100,15 +100,3 @@ def workflow_to_json(workflow: Workflow, indent: int = 2) -> str:
 def workflow_from_json(text: str) -> Workflow:
     """Parse a workflow from a JSON string."""
     return workflow_from_dict(json.loads(text))
-
-
-def save_workflow(workflow: Workflow, path: str) -> None:
-    """Write a workflow JSON document to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(workflow_to_json(workflow))
-
-
-def load_workflow(path: str) -> Workflow:
-    """Read a workflow JSON document from ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return workflow_from_json(fh.read())

@@ -8,8 +8,6 @@ from repro.analysis.report import format_table
 from repro.analysis.stats import (
     confidence_interval,
     geometric_mean,
-    normalized_to,
-    rank_order,
     summarize,
 )
 from repro.sim.trace import TraceRecorder
@@ -47,17 +45,6 @@ class TestStats:
             geometric_mean([1.0, 0.0])
         with pytest.raises(ValueError):
             geometric_mean([])
-
-    def test_normalized_to(self):
-        out = normalized_to({"a": 2.0, "b": 4.0}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
-        with pytest.raises(KeyError):
-            normalized_to({"a": 1.0}, "zzz")
-
-    def test_rank_order(self):
-        vals = {"x": 3.0, "y": 1.0, "z": 2.0}
-        assert rank_order(vals) == ["y", "z", "x"]
-        assert rank_order(vals, ascending=False) == ["x", "z", "y"]
 
     def test_summary_as_dict(self):
         d = summarize([1.0, 2.0]).as_dict()

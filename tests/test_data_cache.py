@@ -11,7 +11,7 @@ class TestNodeStore:
         assert s.put("a", 30.0) == []
         assert s.has("a")
         assert s.used_mb == 30.0
-        assert s.free_mb == 70.0
+        assert s.capacity_mb - s.used_mb == 70.0
 
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ValueError):

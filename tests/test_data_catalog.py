@@ -10,20 +10,20 @@ class TestReplicaCatalog:
         assert cat.has("f", "n0")
         assert cat.exists("f")
         assert "f" in cat
-        assert cat.replica_count("f") == 1
+        assert len(cat.locations("f")) == 1
 
     def test_missing_file(self):
         cat = ReplicaCatalog()
         assert not cat.exists("ghost")
         assert cat.locations("ghost") == []
-        assert cat.replica_count("ghost") == 0
+        assert len(cat.locations("ghost")) == 0
 
     def test_multiple_replicas(self):
         cat = ReplicaCatalog()
         cat.register("f", "n1")
         cat.register("f", "n0")
         assert cat.locations("f") == ["n0", "n1"]
-        assert cat.replica_count("f") == 2
+        assert len(cat.locations("f")) == 2
 
     def test_storage_sorts_first(self):
         cat = ReplicaCatalog()
@@ -35,7 +35,7 @@ class TestReplicaCatalog:
         cat = ReplicaCatalog()
         cat.register("f", "n0")
         cat.register("f", "n0")
-        assert cat.replica_count("f") == 1
+        assert len(cat.locations("f")) == 1
 
     def test_unregister(self):
         cat = ReplicaCatalog()

@@ -17,7 +17,7 @@ class TestChooseSource:
         cat = ReplicaCatalog()
         cat.register("f", "n1")
         d = choose_source(cat, cluster, "f", 100.0, "n1")
-        assert d.is_local
+        assert d.source == d.destination
         assert d.cost == 0.0
 
     def test_no_replica_raises(self, cluster):
@@ -47,4 +47,4 @@ class TestChooseSource:
         assert d.file_name == "f"
         assert d.size_mb == 42.0
         assert d.destination == "n2"
-        assert not d.is_local
+        assert d.source != d.destination

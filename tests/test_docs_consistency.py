@@ -5,6 +5,8 @@ experiment without updating the user-facing inventories — the cheapest
 way to keep README/DESIGN trustworthy.
 """
 
+import glob
+import importlib
 import os
 import re
 
@@ -22,6 +24,30 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def read(name: str) -> str:
     with open(os.path.join(REPO, name), encoding="utf-8") as fh:
         return fh.read()
+
+
+#: A backticked ``repro.*`` name and what follows it inside the backticks;
+#: a name followed by ``/`` or ``-`` is a schema id (``repro.metrics/v1``).
+DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)([^`]*)`")
+
+#: A backticked file (by extension) or directory (trailing slash) path.
+FILE_PATH = re.compile(
+    r"`([\w.-]+(?:/[\w.-]+)*\.(?:py|md|sh|json|txt|toml)|[\w-]+/)`"
+)
+
+
+def resolve(dotted: str):
+    """Import the longest module prefix of ``dotted``, then walk attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
 
 
 class TestDesignDoc:
@@ -61,6 +87,39 @@ class TestReadme:
         text = read("README.md")
         for doc in os.listdir(os.path.join(REPO, "docs")):
             assert doc in text, f"README misses docs/{doc}"
+
+
+class TestNamesInDocs:
+    """A doc that names deleted code fails here, not in a reader's hands."""
+
+    def test_every_dotted_repro_name_resolves(self):
+        docs = ["README.md", "DESIGN.md"] + sorted(
+            os.path.relpath(p, REPO)
+            for p in glob.glob(os.path.join(REPO, "docs", "*.md"))
+        )
+        names, missing = [], []
+        for doc in docs:
+            for match in DOTTED_NAME.finditer(read(doc)):
+                if match.group(2).startswith(("/", "-")):
+                    continue  # a schema id, not a Python name
+                names.append(match.group(1))
+                try:
+                    resolve(match.group(1))
+                except (ImportError, AttributeError):
+                    missing.append(f"{doc}: {match.group(1)}")
+        assert names
+        assert missing == []
+
+    def test_every_file_path_in_design_exists(self):
+        roots = [REPO, os.path.join(REPO, "src"),
+                 os.path.join(REPO, "src", "repro")]
+        paths = FILE_PATH.findall(read("DESIGN.md"))
+        missing = [
+            path for path in paths
+            if not any(os.path.exists(os.path.join(r, path)) for r in roots)
+        ]
+        assert paths
+        assert missing == []
 
 
 class TestInventories:

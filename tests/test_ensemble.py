@@ -7,7 +7,6 @@ from repro.core.orchestrator import RunConfig
 from repro.platform import presets
 from repro.staticcheck.workflow_checks import validate_workflow
 from repro.workflows.ensemble import (
-    member_ids,
     member_prefix,
     member_tasks,
     merge_workflows,
@@ -45,7 +44,6 @@ class TestMerge:
 
     def test_member_queries(self, members):
         merged = merge_workflows({m.member_id: m.workflow for m in members})
-        assert member_ids(merged) == ["a", "b"]
         assert len(member_tasks(merged, "a")) == members[0].workflow.n_tasks
 
     def test_priorities_copied(self, members):

@@ -204,13 +204,6 @@ def test_allow_insertion_false_appends_after_tail():
     assert idx.earliest_fit(9.0, 1.0, allow_insertion=False) == 9.0
 
 
-def test_free_gaps_partitions_the_horizon():
-    idx = IntervalIndex()
-    idx.add(1.0, 2.0, "a")
-    idx.add(4.0, 5.0, "b")
-    assert idx.free_gaps(6.0) == [(0.0, 1.0), (2.0, 4.0), (5.0, 6.0)]
-
-
 # --------------------------------------------------------------------- #
 # optional hypothesis pass                                              #
 # --------------------------------------------------------------------- #

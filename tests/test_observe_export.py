@@ -1,10 +1,10 @@
-"""Exporters: Chrome trace round-trip, text Gantt, CLI artifact flags."""
+"""Exporters: Chrome trace round-trip, CLI artifact flags."""
 
 import json
 
 from repro.cli import main
 from repro.core.api import run_workflow
-from repro.observe import Span, chrome_trace, device_gantt, spans_from_trace, write_json
+from repro.observe import Span, chrome_trace, spans_from_trace, write_json
 from repro.platform import presets
 from repro.workflows.generators import montage
 
@@ -70,28 +70,6 @@ class TestChromeTrace:
         doc = chrome_trace(_real_spans())
         json.dumps(doc)
         self._assert_monotone_per_tid(doc["traceEvents"])
-
-
-class TestDeviceGantt:
-    def test_rows_per_track_and_point_marker(self):
-        text = device_gantt(_spans(), width=40)
-        lines = text.splitlines()
-        assert lines[0].startswith("track")
-        assert any(line.startswith("dev0") for line in lines)
-        assert any(line.startswith("dev1") for line in lines)
-        assert "!" in text  # the zero-length fault span
-        assert "=" in text
-
-    def test_empty_and_zero_horizon(self):
-        assert device_gantt([]) == "(no spans)"
-        point = [Span(sid=0, name="x", track="t", start=0.0, end=0.0)]
-        assert device_gantt(point) == "(zero-length timeline)"
-
-    def test_real_run_renders_every_device_track(self):
-        spans = _real_spans()
-        text = device_gantt(spans, width=60)
-        for track in {s.track for s in spans if s.parent is None}:
-            assert track in text
 
 
 class TestWriteJson:

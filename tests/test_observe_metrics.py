@@ -46,12 +46,6 @@ class TestGauge:
         g.set(2)
         assert g.value == 2.0
 
-    def test_set_max_keeps_running_maximum(self):
-        g = Gauge("x")
-        g.set_max(3)
-        g.set_max(1)
-        assert g.value == 3.0
-
 
 class TestHistogram:
     def test_bucket_placement_inclusive_upper_bounds(self):

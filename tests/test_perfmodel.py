@@ -73,19 +73,6 @@ class TestEstimate:
         state = DvfsState("half", freq_scale=0.5, power_scale=0.2)
         assert model.estimate(t, cat["cpu-std"], state) == pytest.approx(4.0)
 
-    def test_best_and_mean_estimates(self, model, cat):
-        t = gpu_task("t", 700.0, gpu_speedup=10.0)
-        specs = [cat["cpu-std"], cat["gpu-std"]]
-        best = model.best_estimate(t, specs)
-        mean = model.mean_estimate(t, specs)
-        assert best <= mean
-        assert best == pytest.approx(model.estimate(t, cat["gpu-std"]))
-
-    def test_best_estimate_no_eligible_raises(self, model, cat):
-        t = cpu_task("t", 100.0)
-        with pytest.raises(ValueError):
-            model.best_estimate(t, [cat["gpu-std"]])
-
 
 class TestSampling:
     def test_zero_noise_returns_estimate(self, cat):

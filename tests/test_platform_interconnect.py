@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.platform.cluster import Cluster
+from repro.platform.devices import catalogue
 from repro.platform.interconnect import Interconnect, Link
+from repro.platform.nodes import NodeSpec
 
 
 class TestLink:
@@ -77,12 +80,18 @@ class TestInterconnect:
 
     def test_reserve_switched_queues_on_core(self):
         # Core slower than edges: the backplane must become the bottleneck.
-        net = Interconnect.switched(
-            ["a", "b", "c"], edge_bandwidth=1000.0, core_bandwidth=100.0,
-            latency=0.0,
+        names = ["a", "b", "c"]
+        cat = catalogue()
+        cluster = Cluster(
+            "sw", [NodeSpec.of(n, [cat["cpu-std"]]) for n in names],
+            interconnect=Interconnect.switched(
+                names, edge_bandwidth=1000.0, core_bandwidth=100.0,
+                latency=0.0,
+            ),
+            switched=True,
         )
-        _s1, e1 = net.reserve_switched("a", "b", 0.0, 100.0)
-        _s2, e2 = net.reserve_switched("c", "b", 0.0, 100.0)
+        _s1, e1 = cluster.reserve_transfer("a", "b", 0.0, 100.0)
+        _s2, e2 = cluster.reserve_transfer("c", "b", 0.0, 100.0)
         # each needs 1s of core; second must finish around t=2
         assert e1 >= 1.0
         assert e2 >= 2.0

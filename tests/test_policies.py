@@ -46,18 +46,6 @@ class TestStaticPolicy:
         # before run() marks entries ready, nothing is dispatchable
         assert policy.select(executor) == []
 
-    def test_no_repair_leaves_tasks_stranded(self, setup):
-        wf, cluster, plan = setup
-        cluster.reset()
-        policy = StaticPolicy(plan, repair=False)
-        executor = WorkflowExecutor(wf, cluster, policy)
-        policy.prepare(executor)
-        victim_uid = plan.devices_used()[0]
-        victim = cluster.device(victim_uid)
-        victim.failed = True
-        policy.on_device_failure(executor, victim)
-        assert victim_uid not in policy._queues
-
 
 class TestDynamicMctPolicy:
     def test_prefers_fast_devices(self, setup):
@@ -74,13 +62,6 @@ class TestDynamicMctPolicy:
             if rec.name.startswith("mProject")
         )
         assert gpu_used
-
-    def test_unranked_variant_completes(self, setup):
-        wf, cluster, _plan = setup
-        cluster.reset()
-        policy = DynamicMctPolicy(SchedulingContext(wf, cluster), ranked=False)
-        executor = WorkflowExecutor(wf, cluster, policy)
-        assert executor.run().success
 
     def test_one_task_per_device_per_round(self, setup):
         wf, cluster, _plan = setup

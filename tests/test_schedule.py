@@ -93,7 +93,7 @@ class TestSchedule:
         s = Schedule()
         s.add("t1", "d1", 0.0, 2.0)
         assert s.device_of("t1") == "d1"
-        assert s.finish_of("t1") == 2.0
+        assert s.assignments["t1"].finish == 2.0
         assert s.makespan == 2.0
         assert s.n_tasks == 1
 

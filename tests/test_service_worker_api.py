@@ -464,9 +464,18 @@ def _broken(body, fix):
     (lambda b: b["cells"][0].update(workflow=-1), "cells[0]: field 'workflow'"),
     (lambda b: b["cells"][0].update(workflow=True), "cells[0]: field 'workflow'"),
     (lambda b: b["cells"][0].update(workflow="0"), "cells[0]: field 'workflow'"),
+    (lambda b: b["cells"][0].update(
+        config={**b["cells"][0]["config"], "seed": float("nan")},
+    ), ": NaN is not a number"),
+    (lambda b: b["cells"][1].update(
+        cluster={**b["cells"][1]["cluster"], "scale": float("inf")},
+    ), ": Infinity is not a number"),
+    (lambda b: b["workflows"][0].update(scale=float("-inf")),
+     ": -Infinity is not a number"),
 ], ids=[
     "v1-body", "no-workflows", "document-not-object", "index-out-of-range",
-    "negative-index", "bool-index", "string-index",
+    "negative-index", "bool-index", "string-index", "nan-literal",
+    "infinity-literal", "negative-infinity-literal",
 ])
 def test_api_rejects_a_malformed_submission_naming_the_field(
     served, fix, fragment

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import RngStreams, choice_weighted
+from repro.sim.rng import RngStreams
 
 
 class TestRngStreams:
@@ -64,27 +64,3 @@ class TestRngStreams:
     def test_seed_property(self):
         assert RngStreams(17).seed == 17
 
-
-class TestChoiceWeighted:
-    def test_zero_weight_items_never_drawn(self):
-        rng = np.random.default_rng(0)
-        draws = {
-            choice_weighted(rng, ["a", "b"], [0.0, 1.0]) for _ in range(50)
-        }
-        assert draws == {"b"}
-
-    def test_weights_need_not_be_normalized(self):
-        rng = np.random.default_rng(0)
-        assert choice_weighted(rng, ["only"], [17.0]) == "only"
-
-    def test_empty_items_rejected(self):
-        with pytest.raises(ValueError):
-            choice_weighted(np.random.default_rng(0), [], [])
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            choice_weighted(np.random.default_rng(0), ["a"], [1.0, 2.0])
-
-    def test_nonpositive_total_rejected(self):
-        with pytest.raises(ValueError):
-            choice_weighted(np.random.default_rng(0), ["a"], [0.0])

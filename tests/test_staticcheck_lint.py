@@ -433,6 +433,41 @@ class TestFrontEnd:
                           "--allowlist", os.devnull]) == 0
         assert sorted(parsed) == ["a.py", "b.py"]
 
+    def test_deep_run_walks_each_function_body_once(self, monkeypatch):
+        import repro
+        from repro.staticcheck import (
+            callgraph,
+            concurrency,
+            flow,
+            pickle_safety,
+        )
+
+        walks = {}
+        real_walk = callgraph.local_nodes
+
+        def counting_walk(root):
+            walks[id(root)] = walks.get(id(root), 0) + 1
+            return real_walk(root)
+
+        # Every pass that could walk a body by itself, not just the graph.
+        for module in (callgraph, concurrency, flow, pickle_safety):
+            if hasattr(module, "local_nodes"):
+                monkeypatch.setattr(module, "local_nodes", counting_walk)
+        graphs = []
+        real_graph_of = callgraph.graph_of
+
+        def recording_graph_of(modules):
+            graphs.append(real_graph_of(modules))
+            return graphs[-1]
+
+        monkeypatch.setattr(callgraph, "graph_of", recording_graph_of)
+        src = os.path.dirname(os.path.abspath(repro.__file__))
+        assert lint_main([src, "--deep"]) == 0
+        (graph,) = graphs
+        functions = {id(info.node) for info in graph.functions.values()}
+        assert functions <= set(walks)
+        assert set(walks.values()) == {1}
+
     def test_lint_and_deep_pass_resolve_the_same_imports(self, tmp_path):
         from repro.staticcheck.callgraph import build_callgraph
         from repro.staticcheck.flow import check_flow

@@ -5,8 +5,6 @@ import pytest
 from repro.workflows.generators import montage, sipht
 from repro.workflows.graph import Workflow
 from repro.workflows.serialize import (
-    load_workflow,
-    save_workflow,
     workflow_from_dict,
     workflow_from_json,
     workflow_to_dict,
@@ -49,13 +47,6 @@ class TestRoundTrip:
         wf.add_task(cpu_task("t", 1.0, inputs=("cap",)))
         clone = workflow_from_json(workflow_to_json(wf))
         assert clone.files["cap"].location == "edge3"
-
-    def test_file_round_trip(self, tmp_path):
-        wf = montage(size=15, seed=1)
-        path = str(tmp_path / "wf.json")
-        save_workflow(wf, path)
-        clone = load_workflow(path)
-        assert clone.n_tasks == wf.n_tasks
 
     def test_missing_field_raises_value_error(self):
         with pytest.raises(ValueError):
